@@ -132,35 +132,6 @@ impl HmcCube {
         self.rejected
     }
 
-    /// A lower bound on the cycle at which the next response could cross
-    /// back out of this cube, assuming it may be ticked as early as `now`
-    /// and receives no further external input. Folds the crossed-back
-    /// responses already in flight, every vault's earliest completion bound
-    /// (plus the return crossbar traversal), and the requests still waiting
-    /// to *enter* a vault (retry list and inbound crossbar), which need at
-    /// least the access latency plus the return traversal once they land.
-    /// `None` if the cube is idle. Used to derive conservative cross-cycle
-    /// horizons.
-    pub fn earliest_response_at(&self, now: Cycle) -> Option<Cycle> {
-        fn fold(bound: &mut Option<Cycle>, at: Cycle) {
-            *bound = Some(bound.map_or(at, |b| b.min(at)));
-        }
-        let access_latency = self.vaults.first().map(Vault::access_latency).unwrap_or(0);
-        let mut bound = self.outbound.next_ready_at();
-        for vault in &self.vaults {
-            if let Some(at) = vault.earliest_completion_bound(now) {
-                fold(&mut bound, at + self.crossbar_latency);
-            }
-        }
-        if !self.retry.is_empty() {
-            fold(&mut bound, now + access_latency + self.crossbar_latency);
-        }
-        if let Some(at) = self.inbound.next_ready_at() {
-            fold(&mut bound, at.max(now) + access_latency + self.crossbar_latency);
-        }
-        bound
-    }
-
     /// Returns true if the cube has no queued or in-flight work.
     pub fn is_idle(&self) -> bool {
         self.inbound.is_empty()
@@ -329,35 +300,6 @@ mod tests {
             ar_sim::NextWake::At(first_done),
             "a drained cube must sleep until its first completion"
         );
-    }
-
-    #[test]
-    fn earliest_response_bound_never_overestimates() {
-        let cfg = HmcConfig::default();
-        let mut cube = HmcCube::new(CubeId::new(0), &cfg, 16);
-        assert_eq!(cube.earliest_response_at(0), None, "an idle cube has no bound");
-        cube.try_push(0, VaultRequest::read(7, Addr::new(0x40))).unwrap();
-        let bound = cube.earliest_response_at(0).expect("request in flight");
-        // The request still has to cross the crossbar, be issued, complete,
-        // and cross back — the bound accounts for all of that.
-        assert!(bound >= cfg.crossbar_latency + cfg.vault_access_latency);
-        let mut first = None;
-        for t in 0..500 {
-            cube.tick(t);
-            if let Some(r) = cube.pop_response(t) {
-                first = Some((t, r.id));
-                break;
-            }
-        }
-        let (t, id) = first.expect("must complete");
-        assert_eq!(id, 7);
-        assert!(t >= bound, "the real response at {t} beat the bound {bound}");
-        // The bound tracks the in-flight completion once issued.
-        let mut again = HmcCube::new(CubeId::new(0), &cfg, 16);
-        again.try_push(0, VaultRequest::read(1, Addr::new(0))).unwrap();
-        again.tick(cfg.crossbar_latency);
-        let issued = again.earliest_response_at(cfg.crossbar_latency).unwrap();
-        assert_eq!(issued, cfg.crossbar_latency + cfg.vault_access_latency + cfg.crossbar_latency);
     }
 
     #[test]

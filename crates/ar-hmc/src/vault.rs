@@ -214,27 +214,6 @@ impl Vault {
         self.completed.next_ready_at()
     }
 
-    /// Configured DRAM access latency of this vault.
-    pub fn access_latency(&self) -> Cycle {
-        self.access_latency
-    }
-
-    /// A lower bound on the completion cycle of the earliest access this
-    /// vault could still produce, assuming it may be ticked as early as
-    /// `now`: the earliest in-flight completion, or — if requests are
-    /// queued — the earliest possible TSV issue plus the access latency
-    /// (bank conflicts and occupancy only push completions later). `None`
-    /// if the vault is idle. Used to derive conservative cross-cycle
-    /// horizons.
-    pub fn earliest_completion_bound(&self, now: Cycle) -> Option<Cycle> {
-        let mut bound = self.completed.next_ready_at();
-        if self.has_queued() {
-            let issue = self.next_issue_at.max(now) + self.access_latency;
-            bound = Some(bound.map_or(issue, |b| b.min(issue)));
-        }
-        bound
-    }
-
     /// Total accesses served.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -436,35 +415,6 @@ mod tests {
         assert_eq!(v.next_wake(0), NextWake::At(l), "post-drain wake is the completion");
         assert_eq!(v.pop_response(l).unwrap().id, 1);
         assert_eq!(v.next_wake(l), NextWake::Idle);
-    }
-
-    #[test]
-    fn earliest_completion_bound_never_overestimates() {
-        let mut v = Vault::new(&cfg());
-        assert_eq!(v.earliest_completion_bound(0), None, "an idle vault has no bound");
-        // Queued but not yet ticked: the bound is issue-at-now plus latency.
-        v.push(VaultRequest::read(1, Addr::new(0)));
-        let l = cfg().vault_access_latency;
-        assert_eq!(v.earliest_completion_bound(5), Some(5 + l));
-        v.tick(5);
-        // In flight: the bound is the actual completion.
-        assert_eq!(v.earliest_completion_bound(5), Some(5 + l));
-        assert_eq!(v.pop_response(5 + l).unwrap().id, 1);
-        // Same-bank conflicts only push the real completion later than the
-        // bound, never earlier.
-        let mut w = Vault::new(&cfg());
-        w.push(VaultRequest::read(1, Addr::new(0)));
-        w.push(VaultRequest::read(2, Addr::new(64 * 32 * 8)));
-        let bound = w.earliest_completion_bound(0).unwrap();
-        w.tick(0);
-        let mut first = None;
-        for t in 0..10 * l {
-            if let Some(r) = w.pop_response(t) {
-                first = Some((t, r.id));
-                break;
-            }
-        }
-        assert!(first.unwrap().0 >= bound);
     }
 
     #[test]

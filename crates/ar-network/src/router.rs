@@ -304,37 +304,6 @@ impl MemoryNetwork {
         self.pool.capacity()
     }
 
-    /// Returns true if any delivery queue (cube or host) holds an undrained
-    /// packet.
-    pub fn has_pending_delivery(&self) -> bool {
-        self.delivered > 0
-    }
-
-    /// Per-cube lower bounds on when in-flight traffic could next reach each
-    /// cube, for conservative cross-cycle horizons.
-    ///
-    /// Fills `earliest_cube[c]` (which must have one slot per cube, and is
-    /// reset to `Cycle::MAX` first) with the earliest scheduled arrival on
-    /// any link *into* cube `c` — a packet cannot enter cube `c` before it
-    /// arrives there. Returns the earliest scheduled arrival anywhere in the
-    /// network: a packet arriving at any *other* node needs at least one
-    /// more full hop before it can reach a given cube, so
-    /// `global_min + hop_latency` bounds its influence. `None` when no
-    /// packet is on a link.
-    pub fn inflight_arrival_bounds(&self, earliest_cube: &mut [Cycle]) -> Option<Cycle> {
-        debug_assert_eq!(earliest_cube.len(), self.topology.cubes());
-        earliest_cube.fill(Cycle::MAX);
-        let mut global: Option<Cycle> = None;
-        for (at, &(_, dst)) in self.arrivals.iter() {
-            global = Some(global.map_or(at, |g| g.min(at)));
-            if let NetNode::Cube(c) = dst {
-                let slot = &mut earliest_cube[c.index()];
-                *slot = (*slot).min(at);
-            }
-        }
-        global
-    }
-
     /// Returns true if nothing is queued or in flight.
     pub fn is_quiescent(&self) -> bool {
         self.in_flight() == 0
@@ -661,36 +630,6 @@ mod tests {
         assert_eq!(inbox.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert!(!net.has_delivery_at_cube(CubeId::new(2)));
         assert!(net.is_quiescent(), "taking the inbox must keep the in-flight count exact");
-    }
-
-    #[test]
-    fn inflight_arrival_bounds_track_links_into_each_cube() {
-        let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 16);
-        let cubes = net.topology().cubes();
-        let mut earliest = vec![Cycle::MAX; cubes];
-        assert_eq!(net.inflight_arrival_bounds(&mut earliest), None, "empty network has no bound");
-        assert!(!net.has_pending_delivery());
-        net.inject(0, read_req(1, 0, 9, 0));
-        let global = net.inflight_arrival_bounds(&mut earliest).expect("one packet in flight");
-        // The packet's next arrival is one hop out; no later event exists.
-        assert!(global >= net.hop_latency());
-        // Whatever cube the first link points at is bounded by the global
-        // minimum; every cube unreachable this hop stays unbounded.
-        assert!(earliest.iter().all(|&at| at == Cycle::MAX || at >= global));
-        // Run to delivery: bounds must never admit the packet into cube 9
-        // earlier than its true arrival.
-        let mut arrived_at = None;
-        for t in 0..500 {
-            let bound = earliest[9];
-            net.tick(t);
-            if net.pop_at_cube(CubeId::new(9)).is_some() {
-                assert!(bound == Cycle::MAX || t >= bound, "arrival at {t} beat the bound {bound}");
-                arrived_at = Some(t);
-                break;
-            }
-            net.inflight_arrival_bounds(&mut earliest);
-        }
-        assert!(arrived_at.is_some());
     }
 
     #[test]

@@ -94,13 +94,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.at)
     }
 
-    /// Visits every pending event with its scheduled cycle, in arbitrary
-    /// order. Meant for whole-queue folds (e.g. per-destination minimum
-    /// arrival bounds); use `pop_next`/`pop_due` for chronological access.
-    pub fn iter(&self) -> impl Iterator<Item = (Cycle, &E)> {
-        self.heap.iter().map(|s| (s.at, &s.event))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -178,21 +171,6 @@ mod tests {
         assert_eq!(q.pop_next(), Some((10, "a")));
         q.schedule(5, "late");
         assert_eq!(q.pop_next(), Some((10, "late")));
-    }
-
-    #[test]
-    fn iter_visits_all_pending_events() {
-        let mut q = EventQueue::new();
-        q.schedule(7, "a");
-        q.schedule(3, "b");
-        q.schedule(7, "c");
-        let mut seen: Vec<(Cycle, &&str)> = q.iter().collect();
-        seen.sort_by_key(|(at, e)| (*at, **e));
-        assert_eq!(
-            seen.iter().map(|(at, e)| (*at, **e)).collect::<Vec<_>>(),
-            vec![(3, "b"), (7, "a"), (7, "c")]
-        );
-        assert_eq!(q.len(), 3);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub use component::{Component, NextWake, SchedCtx, Scheduler};
 pub use events::EventQueue;
 pub use queue::{BandwidthLink, LatencyQueue};
 pub use rng::SimRng;
-pub use shard::{Horizon, ShardedScheduler, TimestampedOutbox, WorkerPool};
+pub use shard::{ShardedScheduler, WorkerPool};
 pub use stats::{Counter, Histogram, Stats, TimeSeries};

@@ -179,118 +179,6 @@ impl<K: Ord + Copy> ShardedScheduler<K> {
     }
 }
 
-/// A running minimum over the event bounds that cap a bounded-lag run-ahead
-/// window.
-///
-/// Conservative cross-cycle execution (Chandy–Misra–Bryant-style lookahead)
-/// lets a shard advance its local clock past the global one, but only up to a
-/// *horizon*: the earliest cycle at which any other shard's pending event,
-/// plus the minimum delivery latency from that shard, could influence it. A
-/// `Horizon` folds those bounds — `cap` for absolute cycles, `cap_event` for
-/// "event at `t` needs at least `lookahead` cycles to reach me" — and the
-/// shard may then process strictly-earlier events without synchronizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Horizon(Cycle);
-
-impl Horizon {
-    /// A horizon with no bound yet (admits everything).
-    pub fn unbounded() -> Self {
-        Horizon(Cycle::MAX)
-    }
-
-    /// Caps the horizon at an absolute cycle.
-    pub fn cap(&mut self, at: Cycle) {
-        self.0 = self.0.min(at);
-    }
-
-    /// Caps the horizon by a neighbor event at `at` whose effects need at
-    /// least `lookahead` cycles to arrive. `None` (no pending event) leaves
-    /// the horizon unchanged; the sum saturates.
-    pub fn cap_event(&mut self, at: Option<Cycle>, lookahead: Cycle) {
-        if let Some(at) = at {
-            self.cap(at.saturating_add(lookahead));
-        }
-    }
-
-    /// The first cycle the window does *not* cover.
-    pub fn cycle(self) -> Cycle {
-        self.0
-    }
-
-    /// Whether a local event at `at` is inside the window (strictly before
-    /// the horizon).
-    pub fn admits(self, at: Cycle) -> bool {
-        at < self.0
-    }
-}
-
-/// A FIFO of cross-shard messages produced while a shard ran ahead of the
-/// global clock, each stamped with the local cycle it was produced at.
-///
-/// This generalizes the per-shard outbox merge rule of [`WorkerPool::run`]
-/// to cross-*cycle* execution: a run-ahead shard pushes its outputs here in
-/// local-clock order, and the driver drains every outbox in (cycle,
-/// shard-index) order as the global clock catches up — reproducing exactly
-/// the stream a cycle-by-cycle execution would have produced.
-#[derive(Debug, Clone)]
-pub struct TimestampedOutbox<T> {
-    queue: std::collections::VecDeque<(Cycle, T)>,
-}
-
-impl<T> Default for TimestampedOutbox<T> {
-    fn default() -> Self {
-        TimestampedOutbox { queue: std::collections::VecDeque::new() }
-    }
-}
-
-impl<T> TimestampedOutbox<T> {
-    /// Creates an empty outbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a message produced at local cycle `at`. Timestamps must be
-    /// non-decreasing — the producer runs forward in time.
-    pub fn push(&mut self, at: Cycle, item: T) {
-        debug_assert!(
-            self.queue.back().map(|&(last, _)| last <= at).unwrap_or(true),
-            "timestamped outbox pushes must be in non-decreasing cycle order"
-        );
-        self.queue.push_back((at, item));
-    }
-
-    /// The timestamp of the oldest undrained message, if any.
-    pub fn next_at(&self) -> Option<Cycle> {
-        self.queue.front().map(|&(at, _)| at)
-    }
-
-    /// Pops the oldest message if it is stamped at or before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
-        if self.queue.front().map(|&(at, _)| at <= now).unwrap_or(false) {
-            self.queue.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Returns true if no messages are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Number of undrained messages.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Visits the undrained messages oldest first, each with its timestamp —
-    /// the exact order `pop_due` would deliver them. Checkpoint snapshots
-    /// persist this order and replay it through `push` on restore.
-    pub fn entries(&self) -> impl Iterator<Item = (Cycle, &T)> {
-        self.queue.iter().map(|(at, item)| (*at, item))
-    }
-}
-
 /// A batch of indexed work published to the pool: `len` items, each executed
 /// by `call(data, index)` exactly once.
 #[derive(Clone, Copy)]
@@ -689,42 +577,6 @@ mod tests {
         sched.shard_mut(0).schedule(7, 6);
         assert_eq!(sched.next_cycle(), Some(7));
         assert!(sched.pop_due(7).contains(&6));
-    }
-
-    #[test]
-    fn horizon_folds_bounds_and_admits_strictly_earlier_events() {
-        let mut h = Horizon::unbounded();
-        assert!(h.admits(Cycle::MAX - 1));
-        h.cap_event(None, 3); // no pending event: unchanged
-        h.cap(100);
-        h.cap_event(Some(40), 9); // event at 40, 9 cycles away => bound 49
-        h.cap_event(Some(80), 50); // looser than the current bound
-        assert_eq!(h.cycle(), 49);
-        assert!(h.admits(48));
-        assert!(!h.admits(49));
-        // Saturating: a far event with a huge lookahead never wraps.
-        let mut s = Horizon::unbounded();
-        s.cap_event(Some(Cycle::MAX - 1), 10);
-        assert_eq!(s.cycle(), Cycle::MAX);
-    }
-
-    #[test]
-    fn timestamped_outbox_drains_in_stamp_order() {
-        let mut outbox: TimestampedOutbox<&str> = TimestampedOutbox::new();
-        assert!(outbox.is_empty());
-        assert_eq!(outbox.next_at(), None);
-        outbox.push(4, "a");
-        outbox.push(4, "b");
-        outbox.push(7, "c");
-        assert_eq!(outbox.len(), 3);
-        assert_eq!(outbox.next_at(), Some(4));
-        assert_eq!(outbox.pop_due(3), None);
-        assert_eq!(outbox.pop_due(4), Some((4, "a")));
-        assert_eq!(outbox.pop_due(4), Some((4, "b")));
-        assert_eq!(outbox.pop_due(4), None);
-        assert_eq!(outbox.next_at(), Some(7));
-        assert_eq!(outbox.pop_due(9), Some((7, "c")));
-        assert!(outbox.is_empty());
     }
 
     #[test]

@@ -141,7 +141,6 @@ pub struct SimulationBuilder {
     threads: usize,
     fast_forward: Option<bool>,
     drain_fast_forward: Option<bool>,
-    cross_cycle: Option<bool>,
     checkpoint: Option<Checkpoint>,
 }
 
@@ -165,7 +164,6 @@ impl SimulationBuilder {
             threads: 1,
             fast_forward: None,
             drain_fast_forward: None,
-            cross_cycle: None,
             checkpoint: None,
         }
     }
@@ -178,7 +176,7 @@ impl SimulationBuilder {
     /// streams (see [`crate::checkpoint`]). [`SimulationBuilder::build`]
     /// fails when the rebuilt configuration or regenerated workload does not
     /// match the one the snapshot was taken under. Report-neutral kernel
-    /// knobs (threads, fast-forwarding, drain, cross-cycle, lock-step) may
+    /// knobs (threads, fast-forwarding, drain, lock-step) may
     /// differ freely between the snapshotting run and the restored one.
     #[must_use]
     pub fn from_checkpoint(mut self, checkpoint: Checkpoint) -> Self {
@@ -304,23 +302,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Forces bounded-lag cross-cycle execution on or off (see
-    /// [`System::with_cross_cycle`]).
-    ///
-    /// Without this call the kernel runs with cross-cycle execution enabled:
-    /// the arming pass self-gates (it only opens a run-ahead window when a
-    /// cube's pending work sits strictly below its conservative lookahead
-    /// horizon), so there is no workload statistic to auto-tune on. As with
-    /// the other kernel knobs, the [`SimReport`] is byte-identical in every
-    /// mode — the equivalence suite's on/off axis asserts exactly that — so
-    /// the knob only places wall-clock work. Ignored by the lock-step
-    /// reference kernel, which never runs ahead.
-    #[must_use]
-    pub fn cross_cycle(mut self, enabled: bool) -> Self {
-        self.cross_cycle = Some(enabled);
-        self
-    }
-
     /// Generates the workload, validates the configuration and wires the
     /// system.
     ///
@@ -359,8 +340,7 @@ impl SimulationBuilder {
             .with_labels(generated.name, label)
             .with_threads(threads)
             .with_fast_forward(fast_forward)
-            .with_drain_fast_forward(drain_fast_forward)
-            .with_cross_cycle(self.cross_cycle.unwrap_or(true));
+            .with_drain_fast_forward(drain_fast_forward);
         if let Some(ck) = &self.checkpoint {
             let config_hash = system.config().to_json().content_hash();
             if ck.config_hash != config_hash {

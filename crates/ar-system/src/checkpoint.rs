@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// meaning: a restored run must be byte-identical to an uninterrupted one,
 /// so decoding a stale layout into a newer simulator (or vice versa) must
 /// fail loudly instead of resuming from subtly wrong state.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Distinguishes temp files of racing writers within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -183,17 +183,27 @@ mod tests {
         assert_eq!(Checkpoint::from_json(&doc).expect("decodes"), ck);
     }
 
-    #[test]
-    fn schema_mismatch_and_hostile_fields_are_rejected() {
+    /// The sample document with one top-level field replaced.
+    fn sample_with(key: &str, value: &Json) -> Json {
         let mut doc = sample().to_json();
         if let Json::Obj(pairs) = &mut doc {
             for (k, v) in pairs.iter_mut() {
-                if k == "schema" {
-                    *v = Json::from(CHECKPOINT_SCHEMA_VERSION + 1);
+                if *k == key {
+                    *v = value.clone();
                 }
             }
         }
-        assert!(Checkpoint::from_json(&doc).is_err(), "future schema must not decode");
+        doc
+    }
+
+    #[test]
+    fn schema_mismatch_and_hostile_fields_are_rejected() {
+        // A future schema and the stale v1 system-state layout must not
+        // decode.
+        for schema in [CHECKPOINT_SCHEMA_VERSION + 1, 1] {
+            let doc = sample_with("schema", &Json::from(schema));
+            assert!(Checkpoint::from_json(&doc).is_err(), "schema v{schema} must not decode");
+        }
 
         for (key, bad) in [
             ("size", Json::from("galactic")),
@@ -201,14 +211,7 @@ mod tests {
             ("cycle", Json::from("soon")),
             ("config_hash", Json::from(3u64)),
         ] {
-            let mut doc = sample().to_json();
-            if let Json::Obj(pairs) = &mut doc {
-                for (k, v) in pairs.iter_mut() {
-                    if *k == key {
-                        *v = bad.clone();
-                    }
-                }
-            }
+            let doc = sample_with(key, &bad);
             assert!(Checkpoint::from_json(&doc).is_err(), "hostile {key} must not decode");
         }
     }

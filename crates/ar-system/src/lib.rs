@@ -59,7 +59,6 @@
 pub mod builder;
 pub mod checkpoint;
 mod drain;
-mod lookahead;
 pub mod observer;
 pub mod report;
 pub mod runner;

@@ -52,14 +52,14 @@ pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
 /// Execution knobs of one sweep cell.
 ///
-/// The kernel knobs (threads, the fast-forward modes, cross-cycle
-/// execution) place wall-clock work without affecting the [`SimReport`] —
-/// the equivalence suite pins byte-identical reports across every thread
-/// count and every knob setting — so they are deliberately *excluded* from
-/// [`CellKey::cache_key`]: a report computed at `threads = 4` is a sound
-/// cache hit for a later `threads = 1` request. `cycle_limit` truncates the
-/// simulation and therefore *is* part of the key (folded into the effective
-/// configuration's `max_cycles`).
+/// The kernel knobs (threads, the fast-forward modes) place wall-clock work
+/// without affecting the [`SimReport`] — the equivalence suite pins
+/// byte-identical reports across every thread count and every knob setting
+/// — so they are deliberately *excluded* from [`CellKey::cache_key`]: a
+/// report computed at `threads = 4` is a sound cache hit for a later
+/// `threads = 1` request. `cycle_limit` truncates the simulation and
+/// therefore *is* part of the key (folded into the effective configuration's
+/// `max_cycles`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellKnobs {
     /// Sharded-kernel thread count
@@ -72,25 +72,15 @@ pub struct CellKnobs {
     /// builder's automatic decision
     /// ([`SimulationBuilder::drain_fast_forward`]).
     pub drain_fast_forward: Option<bool>,
-    /// Forces bounded-lag cross-cycle execution on or off; `None` keeps the
-    /// builder's default (enabled; [`SimulationBuilder::cross_cycle`]).
-    pub cross_cycle: Option<bool>,
     /// Overrides the base configuration's `max_cycles` when set.
     pub cycle_limit: Option<u64>,
 }
 
 impl Default for CellKnobs {
     /// The builder's own defaults: serial kernel, automatic fast-forward
-    /// decisions, cross-cycle execution enabled, the base configuration's
-    /// cycle limit.
+    /// decisions, the base configuration's cycle limit.
     fn default() -> Self {
-        CellKnobs {
-            threads: 1,
-            fast_forward: None,
-            drain_fast_forward: None,
-            cross_cycle: None,
-            cycle_limit: None,
-        }
+        CellKnobs { threads: 1, fast_forward: None, drain_fast_forward: None, cycle_limit: None }
     }
 }
 
@@ -155,9 +145,6 @@ impl CellKey {
         if let Some(dff) = self.knobs.drain_fast_forward {
             builder = builder.drain_fast_forward(dff);
         }
-        if let Some(cc) = self.knobs.cross_cycle {
-            builder = builder.cross_cycle(cc);
-        }
         builder
     }
 
@@ -200,12 +187,13 @@ impl CellKey {
             ("threads", Json::from(self.knobs.threads)),
             ("fast_forward", opt_bool(self.knobs.fast_forward)),
             ("drain_fast_forward", opt_bool(self.knobs.drain_fast_forward)),
-            ("cross_cycle", opt_bool(self.knobs.cross_cycle)),
             ("cycle_limit", self.knobs.cycle_limit.map(Json::from).unwrap_or(Json::Null)),
         ])
     }
 
-    /// Decodes a [`CellKey::to_json`] document.
+    /// Decodes a [`CellKey::to_json`] document. Fields it does not know are
+    /// ignored, so documents from clients that still send a retired knob
+    /// decode to the same key.
     ///
     /// # Errors
     ///
@@ -240,7 +228,6 @@ impl CellKey {
                 .map_err(|_| bad("threads"))?,
             fast_forward: opt_bool("fast_forward")?,
             drain_fast_forward: opt_bool("drain_fast_forward")?,
-            cross_cycle: opt_bool("cross_cycle")?,
             cycle_limit: match doc.get("cycle_limit") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(v.as_u64().ok_or_else(|| bad("cycle_limit"))?),
@@ -501,10 +488,10 @@ impl Sweep {
 /// checkpoint, each resumed and run to completion on its own worker thread.
 ///
 /// This is the warm-up-once sweep shape: when a matrix varies only kernel
-/// knobs (thread counts, fast-forward modes, cross-cycle execution) over one
-/// `(workload, config, size)` identity, the cold prefix is identical across
-/// every variant — the knobs are report-neutral by the pinned equivalence
-/// invariant — so simulating it per variant is pure waste. The warm-up runs
+/// knobs (thread counts, fast-forward modes) over one `(workload, config,
+/// size)` identity, the cold prefix is identical across every variant — the
+/// knobs are report-neutral by the pinned equivalence invariant — so
+/// simulating it per variant is pure waste. The warm-up runs
 /// under `cell`'s own knobs to network cycle `prefix` (capped at the cycle
 /// limit), and every variant resumes from the resulting [`crate::Checkpoint`];
 /// restored runs are byte-identical to uninterrupted ones, so the returned
@@ -660,10 +647,25 @@ mod tests {
             threads: 4,
             fast_forward: Some(false),
             drain_fast_forward: Some(true),
-            cross_cycle: Some(false),
             cycle_limit: Some(12_345),
         });
         assert_eq!(CellKey::from_json(&knobbed.to_json()).unwrap(), knobbed);
+        // Clients built while the kernel still had its run-ahead knob send
+        // it on every key; the field is ignored, so such a document decodes
+        // to the same key and hits the same cache entry. (The wire name is
+        // spelled in two pieces: the knob no longer exists anywhere else.)
+        let retired_knob = concat!("cross", "_cycle");
+        let base = small_cfg();
+        for key in [&keys[0], &knobbed] {
+            for value in [Json::Null, Json::from(true), Json::from(false)] {
+                let mut legacy = key.to_json();
+                let Json::Obj(pairs) = &mut legacy else { unreachable!("keys encode as objects") };
+                pairs.push((retired_knob.to_string(), value));
+                let decoded = CellKey::from_json(&legacy).expect("legacy key doc decodes");
+                assert_eq!(&decoded, key);
+                assert_eq!(decoded.cache_hash(&base), key.cache_hash(&base));
+            }
+        }
         // Malformed documents are rejected.
         assert!(CellKey::from_json(&Json::parse(r#"{"workload":"x"}"#).unwrap()).is_err());
         let bad_cfg = r#"{"workload":"mac","config":"NOPE","size":"tiny","threads":1}"#;
@@ -681,18 +683,9 @@ mod tests {
             threads: 8,
             fast_forward: Some(true),
             drain_fast_forward: Some(false),
-            cross_cycle: None,
             cycle_limit: None,
         });
         assert_eq!(neutral.cache_hash(&base), addr);
-        // Cross-cycle execution is report-neutral too: forcing it on or off
-        // must keep the cell at the same cache address, so reports computed
-        // before the knob existed stay valid hits.
-        for forced in [Some(true), Some(false)] {
-            let crossed =
-                key.clone().with_knobs(CellKnobs { cross_cycle: forced, ..CellKnobs::default() });
-            assert_eq!(crossed.cache_hash(&base), addr);
-        }
         // ...while the cycle limit, the named config, the size, the workload
         // and any base-config field all do change it.
         let limited =
@@ -756,7 +749,6 @@ mod tests {
             CellKnobs::default(),
             CellKnobs { threads: 4, ..CellKnobs::default() },
             CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
-            CellKnobs { cross_cycle: Some(false), ..CellKnobs::default() },
         ];
         let warm = warm_fan_out(&base, Arc::new(WorkloadKind::Reduce), &cell, 400, &variants)
             .expect("fan-out runs");

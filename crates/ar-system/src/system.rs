@@ -36,7 +36,6 @@
 //! reference values.
 
 use crate::drain::{self, CoreDrain, MAX_WINDOW_POPS, MIN_DRAIN_CYCLES};
-use crate::lookahead::LookaheadTable;
 use crate::observer::{Observer, ObserverHub, RunInfo, Sample, SimEvent};
 use crate::report::{CubeActivity, DataMovement, LatencyBreakdown, SimReport, StallSummary};
 use active_routing::{ActiveRoutingEngine, AreOutput, HostOffloadController, HostOutput};
@@ -46,8 +45,7 @@ use ar_dram::{DramRequest, DramSystem};
 use ar_hmc::{HmcCube, VaultRequest};
 use ar_network::{DragonflyTopology, MemoryNetwork, MeshNoc};
 use ar_sim::{
-    Component, Horizon, LatencyQueue, NextWake, SchedCtx, ShardedScheduler, TimeSeries,
-    TimestampedOutbox, WorkerPool,
+    Component, LatencyQueue, NextWake, SchedCtx, ShardedScheduler, TimeSeries, WorkerPool,
 };
 use ar_types::addr::AddressMap;
 use ar_types::config::{MemoryMode, SystemConfig};
@@ -213,72 +211,6 @@ impl VaultDrainJob<'_> {
     }
 }
 
-/// One cube shard's bounded-lag run-ahead window: the cube's private
-/// calendar was advanced to local cycle `until` under a conservative
-/// horizon, and every vault response it popped along the way waits in
-/// `replay`, stamped with its true pop cycle, to be merged into the
-/// completion stream when the global clock reaches it.
-#[derive(Debug, Default)]
-struct CubeWindow {
-    /// Last local cycle the cube was advanced to; 0 = no window. While
-    /// `now <= until` the cube must not be ticked by the normal sub-phases
-    /// (its state already reflects local cycle `until`).
-    until: Cycle,
-    /// Responses popped during the run-ahead, in (cycle, pop) order.
-    replay: TimestampedOutbox<ar_hmc::VaultResponse>,
-}
-
-impl CubeWindow {
-    /// Whether the window still covers the global cycle `now`.
-    fn active(&self, now: Cycle) -> bool {
-        self.until != 0 && now <= self.until
-    }
-}
-
-/// One cube shard's bounded-lag run-ahead job: advance the cube's private
-/// calendar event by event, strictly below the horizon, collecting every
-/// popped response with its true cycle. Inside the window the cube receives
-/// no external input (that is what the horizon guarantees), so this replays
-/// exactly the due-driven tick chain the serial kernel would have executed —
-/// and since each job owns disjoint `&mut`s, a batch of them runs on the
-/// worker pool.
-struct RunAheadJob<'a> {
-    cube: &'a mut HmcCube,
-    window: &'a mut CubeWindow,
-    from: Cycle,
-    horizon: Cycle,
-}
-
-impl RunAheadJob<'_> {
-    fn run(&mut self) {
-        let mut t = self.from;
-        while let NextWake::At(next) = self.cube.next_wake(t) {
-            if next >= self.horizon {
-                break;
-            }
-            if next <= t {
-                debug_assert!(false, "a cube wake-up failed to advance its local clock");
-                break;
-            }
-            t = next;
-            self.cube.tick(t);
-            while let Some(resp) = self.cube.pop_response(t) {
-                self.window.replay.push(t, resp);
-            }
-        }
-        if t > self.from {
-            self.window.until = t;
-        }
-    }
-}
-
-/// Minimum length (in cycles past `now`) a cross-cycle window must have to
-/// be worth arming: the arming pass itself costs a scan over cubes and
-/// in-flight packets, so windows that could only cover a couple of cycles
-/// are left to the normal per-cycle path. Placement-only — the replayed
-/// stream is identical either way.
-const MIN_CROSS_CYCLE_WINDOW: Cycle = 8;
-
 /// Minimum number of due cube shards worth fanning out to the worker pool.
 /// A dispatch costs a few hundred nanoseconds (publish, claim traffic,
 /// completion wait) while a typical cube tick is shorter than that, so
@@ -308,7 +240,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<CubeDeliveryJob<'_>>();
     assert_send::<VaultDrainJob<'_>>();
-    assert_send::<RunAheadJob<'_>>();
 };
 
 /// Why a vault access was issued (used to dispatch its completion).
@@ -497,39 +428,6 @@ pub struct System {
     are_spare: Vec<AreOutput>,
     /// Reusable vault-completion merge buffer.
     completion_scratch: Vec<(usize, ar_hmc::VaultResponse)>,
-    /// Whether the event-driven kernel may run cube shards ahead of the
-    /// global clock inside conservative bounded-lag windows (see
-    /// [`System::with_cross_cycle`]). The lock-step reference ignores the
-    /// knob — it never runs ahead.
-    cross_cycle: bool,
-    /// Per-cube bounded-lag run-ahead windows (empty for the DRAM
-    /// baseline). See [`System::try_arm_cross_cycle`].
-    run_ahead: Vec<CubeWindow>,
-    /// Number of cubes whose window is still open (`until != 0`). New
-    /// windows only arm when this is zero, so window generations never
-    /// overlap.
-    active_windows: usize,
-    /// Cross-cycle windows armed so far (diagnostics only — the whole
-    /// contract is that the report cannot tell).
-    cross_cycle_windows: u64,
-    /// Don't re-attempt window arming before this cycle: a failed attempt
-    /// (traffic in flight, horizons too tight) rarely turns armable within a
-    /// cycle or two, and the horizon fold is the priciest probe the kernel
-    /// runs per cycle. Purely a wall-clock throttle — arming is
-    /// report-neutral, so skipping attempts cannot change a report byte, and
-    /// the backoff depends only on simulated state, never on thread timing.
-    arm_backoff_until: Cycle,
-    /// Per-shard-pair minimum-latency table driving the horizon computation
-    /// (HMC backend only).
-    lookahead: Option<LookaheadTable>,
-    /// Scratch for the per-cube in-flight arrival bounds.
-    arrival_scratch: Vec<Cycle>,
-    /// Scratch for the eligible `(cube, horizon)` pairs of one arming pass.
-    window_candidates: Vec<(usize, Cycle)>,
-    /// Scratch for one arming pass's per-cube emission probes —
-    /// `(earliest_response, engine_idle, engine_wake)` — so the horizon fold
-    /// reads each cube's O(vaults) state once instead of per candidate pair.
-    emit_scratch: Vec<(Option<Cycle>, bool, NextWake)>,
     /// First network cycle the run loop has not yet processed: 0 on a fresh
     /// system, advanced by every [`System::advance`] epilogue, restored by
     /// [`System::load_state`]. The next run (full or prefix) resumes here.
@@ -624,20 +522,7 @@ impl System {
         // `cfg.network.cubes` would alias or overrun if the two disagreed.
         let cube_count = Self::backend_cube_count(&backend);
         let slot_count = 4 + 2 * cube_count;
-        let lookahead = match &backend {
-            Backend::Hmc(hmc) => Some(LookaheadTable::new(&hmc.topology, cfg.network.hop_latency)),
-            Backend::Dram(_) => None,
-        };
         Ok(System {
-            cross_cycle: true,
-            run_ahead: (0..cube_count).map(|_| CubeWindow::default()).collect(),
-            active_windows: 0,
-            cross_cycle_windows: 0,
-            arm_backoff_until: 0,
-            lookahead,
-            arrival_scratch: vec![Cycle::MAX; cube_count],
-            window_candidates: Vec::new(),
-            emit_scratch: Vec::new(),
             cores_done,
             busy: vec![false; slot_count],
             busy_count: 0,
@@ -777,28 +662,6 @@ impl System {
         self
     }
 
-    /// Enables or disables bounded-lag cross-cycle execution in the
-    /// event-driven kernel (default: enabled).
-    ///
-    /// When enabled, a cube shard whose engine is idle may run ahead of the
-    /// global clock inside a conservative window: per-shard-pair lookahead
-    /// (minimum network delivery latencies, precomputed from the topology)
-    /// bounds the earliest cycle any other shard could still influence the
-    /// cube, and the cube's private calendar is advanced event by event
-    /// strictly below that horizon. Every vault response popped along the way
-    /// is stamped with its true cycle and merged into the completion stream
-    /// only when the global clock reaches it, in the same (cycle, cube-index)
-    /// order as per-cycle ticking — so the [`SimReport`] is byte-identical
-    /// either way, and the knob only decides wall-clock placement of the
-    /// work. That is what lets the equivalence suite carry an on/off axis
-    /// and the bench regression gate compare the two. [`System::run_lockstep`]
-    /// ignores the knob: the per-cycle reference never runs ahead.
-    #[must_use]
-    pub fn with_cross_cycle(mut self, enabled: bool) -> Self {
-        self.cross_cycle = enabled;
-        self
-    }
-
     /// Sets the labels recorded in the report.
     pub fn with_labels(mut self, workload: impl Into<String>, config: impl Into<String>) -> Self {
         self.workload = workload.into();
@@ -819,31 +682,18 @@ impl System {
     /// resulting [`SimReport`] is cycle-identical to
     /// [`System::run_lockstep`].
     pub fn run(self) -> SimReport {
-        self.run_with(false, &mut []).0
+        self.run_with(false, &mut [])
     }
 
     /// Runs the event-driven kernel and also returns the run's
     /// [`RunFootprint`] — the simulator's own peak in-flight storage.
     ///
-    /// Like [`System::run_counting_windows`], the extra value is diagnostic
-    /// only and never appears in the [`SimReport`]: reports are pinned
-    /// byte-identical across kernels and golden snapshots, while the
-    /// footprint describes the simulator process, not the simulated machine.
+    /// The extra value is diagnostic only and never appears in the
+    /// [`SimReport`]: reports are pinned byte-identical across kernels and
+    /// golden snapshots, while the footprint describes the simulator process,
+    /// not the simulated machine.
     pub fn run_with_footprint(self) -> (SimReport, RunFootprint) {
-        let (report, _, footprint) = self.run_with_diagnostics(false, &mut []);
-        (report, footprint)
-    }
-
-    /// Runs the event-driven kernel and also returns the number of
-    /// cross-cycle run-ahead windows the run armed (the consuming signature
-    /// of [`System::run`] hides the [`System::cross_cycle_windows`] probe).
-    ///
-    /// The count is diagnostic only — it never appears in the
-    /// [`SimReport`] — and exists so the property suite and the bench
-    /// regression gate can assert that bounded-lag execution genuinely
-    /// engaged on a run, not just that its report matched.
-    pub fn run_counting_windows(self) -> (SimReport, u64) {
-        self.run_with(false, &mut [])
+        self.run_with_diagnostics(false, &mut [])
     }
 
     /// Runs the simulation with the lock-step reference kernel: every cycle
@@ -854,38 +704,36 @@ impl System {
     /// tests assert identical reports from both drivers) and to benchmark
     /// against it; simulations should use [`System::run`].
     pub fn run_lockstep(self) -> SimReport {
-        self.run_with(true, &mut []).0
+        self.run_with(true, &mut [])
     }
 
     /// Runs the event-driven kernel with the given streaming observers
     /// attached (see [`crate::Observer`]). Observation never changes the
     /// simulated behaviour; an observer can only cut the run short.
     pub fn run_observed(self, observers: &mut [Box<dyn Observer>]) -> SimReport {
-        self.run_with(false, observers).0
+        self.run_with(false, observers)
     }
 
     /// Runs the lock-step reference kernel with observers attached. The
     /// event stream is identical to [`System::run_observed`] (events are tied
     /// to simulated cycles, not to kernel scheduling).
     pub fn run_lockstep_observed(self, observers: &mut [Box<dyn Observer>]) -> SimReport {
-        self.run_with(true, observers).0
+        self.run_with(true, observers)
     }
 
-    fn run_with(self, lockstep: bool, observers: &mut [Box<dyn Observer>]) -> (SimReport, u64) {
-        let (report, windows, _) = self.run_with_diagnostics(lockstep, observers);
-        (report, windows)
+    fn run_with(self, lockstep: bool, observers: &mut [Box<dyn Observer>]) -> SimReport {
+        self.run_with_diagnostics(lockstep, observers).0
     }
 
     fn run_with_diagnostics(
         mut self,
         lockstep: bool,
         observers: &mut [Box<dyn Observer>],
-    ) -> (SimReport, u64, RunFootprint) {
+    ) -> (SimReport, RunFootprint) {
         let max_cycles = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
         let mut hub = ObserverHub::new(observers);
         hub.start(&RunInfo { workload: &self.workload, config_label: &self.label, cfg: &self.cfg });
         let (now, completed) = self.advance(max_cycles, lockstep, &mut hub);
-        let windows = self.cross_cycle_windows;
         let footprint = match &self.backend {
             Backend::Hmc(hmc) => RunFootprint {
                 peak_packets_in_flight: hmc.network.peak_in_flight(),
@@ -895,7 +743,7 @@ impl System {
         };
         let report = self.into_report(now, completed);
         hub.finish(&report);
-        (report, windows, footprint)
+        (report, footprint)
     }
 
     /// Runs the kernel loop from [`System::resume_cycle`] up to `max_cycles`
@@ -1020,16 +868,16 @@ impl System {
     /// prefix.
     ///
     /// The prefix boundary is enforced exactly like a configured cycle
-    /// limit: the fast-forward window planners cap their horizons at it, so
-    /// no planned drain injection or run-ahead replay entry crosses the
-    /// boundary, and a later [`System::run`] (or another prefix) continues
-    /// byte-identically to a single uninterrupted run. A `until` at or past
-    /// the configured `max_cycles` simply runs to that limit.
+    /// limit: the offload-drain planner caps its horizon at it, so no
+    /// planned drain injection crosses the boundary, and a later
+    /// [`System::run`] (or another prefix) continues byte-identically to a
+    /// single uninterrupted run. A `until` at or past the configured
+    /// `max_cycles` simply runs to that limit.
     pub fn run_prefix(&mut self, until: Cycle, lockstep: bool) -> bool {
         let real_limit = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
         let stop = until.min(real_limit);
-        // Arming horizons read `cfg.max_cycles` — pin it to the prefix stop
-        // for the duration so no window reaches past the boundary, then
+        // The drain planner's horizon reads `cfg.max_cycles` — pin it to the
+        // prefix stop for the duration so no window reaches past it, then
         // restore the real limit (configuration travels as code; only the
         // dynamic state below is checkpointed).
         let saved = self.cfg.max_cycles;
@@ -1075,9 +923,9 @@ impl System {
     /// counters, wake gates, scratch buffers, planner state) are
     /// reconstructed from code by [`System::load_state`]. Snapshots are taken
     /// at a settled run boundary — after [`System::run_prefix`] or a finished
-    /// run — where every core is settled, no offload-drain window is open and
-    /// no run-ahead replay is pending: the window planners cap their horizons
-    /// at the boundary precisely so this holds.
+    /// run — where every core is settled and no offload-drain window is open:
+    /// the drain planner caps its horizon at the boundary precisely so this
+    /// holds.
     ///
     /// Identifiers carrying tag bits (request/transaction/vault ids,
     /// addresses) travel as hex bit patterns, functional-memory values and
@@ -1087,16 +935,12 @@ impl System {
     /// # Panics
     ///
     /// Panics if called away from a run boundary (unflushed drain
-    /// injections, pending run-ahead replays, or an unsettled core), which
-    /// would make the snapshot lossy.
+    /// injections or an unsettled core), which would make the snapshot
+    /// lossy.
     pub fn state_to_json(&self) -> Json {
         assert!(
             self.drain_outbox.is_empty(),
             "snapshot requires a flushed drain window (run to a prefix boundary first)"
-        );
-        assert!(
-            self.run_ahead.iter().all(|w| w.replay.is_empty()),
-            "snapshot requires drained run-ahead windows (run to a prefix boundary first)"
         );
         let mut func_mem: Vec<(u64, f64)> =
             self.func_mem.iter().map(|(addr, value)| (*addr, *value)).collect();
@@ -1215,7 +1059,6 @@ impl System {
             ("hmc_bytes", Json::from(self.hmc_bytes)),
             ("back_invalidations", Json::from(self.back_invalidations)),
             ("drain_windows", Json::from(self.drain_windows)),
-            ("cross_cycle_windows", Json::from(self.cross_cycle_windows)),
             ("resume_cycle", Json::from(self.resume_cycle)),
             ("report_cycle", Json::from(self.report_cycle)),
             ("completed", Json::from(self.prefix_completed)),
@@ -1333,6 +1176,12 @@ impl System {
             self.core_completions.push_at(at, (core, entry.req_hex_u64("req_id")?));
         }
 
+        // Responses travel back through the transaction's port: a host port
+        // of the memory network, or a memory controller of the DRAM baseline.
+        let port_count = match &self.backend {
+            Backend::Dram(_) => self.cfg.noc.memory_controllers,
+            Backend::Hmc(_) => self.cfg.network.host_ports,
+        };
         self.mem_txns.clear();
         for entry in doc.req_array("mem_txns")? {
             let txn = entry.req_hex_u64("txn")?;
@@ -1340,10 +1189,16 @@ impl System {
             if core != usize::MAX && core >= self.cores.len() {
                 return Err(JsonError::state("memory transaction for an out-of-range core"));
             }
+            let port = entry.req_usize("port")?;
+            if port >= port_count {
+                return Err(JsonError::state(format!(
+                    "memory transaction on port {port}, but the system has {port_count} ports"
+                )));
+            }
             let m = MemTxn {
                 core,
                 req_id: entry.req_hex_u64("req_id")?,
-                port: PortId::new(entry.req_usize("port")?),
+                port: PortId::new(port),
                 noc_return: entry.req_u64("noc_return")?,
                 is_write: entry.req_bool("is_write")?,
             };
@@ -1413,7 +1268,6 @@ impl System {
         self.hmc_bytes = doc.req_u64("hmc_bytes")?;
         self.back_invalidations = doc.req_u64("back_invalidations")?;
         self.drain_windows = doc.req_u64("drain_windows")?;
-        self.cross_cycle_windows = doc.req_u64("cross_cycle_windows")?;
         self.resume_cycle = resume_cycle;
         self.report_cycle = report_cycle;
         self.prefix_completed = completed;
@@ -1423,12 +1277,6 @@ impl System {
         // ------------------------------------------------------------------
         self.drain_until = 0;
         self.drain_outbox.clear();
-        self.arm_backoff_until = 0;
-        self.active_windows = 0;
-        for window in &mut self.run_ahead {
-            debug_assert!(window.replay.is_empty(), "restore onto a fresh system");
-            window.until = 0;
-        }
         self.armq.clear();
         self.arm_flags.fill(false);
         self.cores_done = self.cores.iter().filter(|c| c.is_done()).count();
@@ -1655,11 +1503,7 @@ impl System {
     fn component_busy(&self, key: SysKey) -> bool {
         match (key, &self.backend) {
             (SysKey::Dram, Backend::Dram(dram)) => !dram.is_idle(),
-            // A cube that ran ahead may already be internally idle while its
-            // replayed completions still wait for the global clock.
-            (SysKey::Cube(c), Backend::Hmc(hmc)) => {
-                !hmc.cubes[c].is_idle() || !self.run_ahead[c].replay.is_empty()
-            }
+            (SysKey::Cube(c), Backend::Hmc(hmc)) => !hmc.cubes[c].is_idle(),
             (SysKey::Engine(c), Backend::Hmc(hmc)) => !hmc.engines[c].is_idle(),
             _ => false,
         }
@@ -1768,20 +1612,7 @@ impl System {
                 .iter()
                 .fold(dram.next_wake(now), |wake, (at, ..)| wake.min_with(NextWake::At(*at))),
             (SysKey::Network, Backend::Hmc(hmc)) => hmc.network.next_wake(now),
-            // A cube inside a run-ahead window wakes at its next replay
-            // stamp (each merges at its exact cycle) and resumes normal
-            // ticking after the window; the cube's own calendar is already
-            // ahead, so querying it from `now` would re-announce events the
-            // window consumed.
-            (SysKey::Cube(c), Backend::Hmc(hmc)) => {
-                let window = &self.run_ahead[c];
-                if window.active(now) {
-                    NextWake::from_next(window.replay.next_at())
-                        .min_with(hmc.cubes[c].next_wake(window.until))
-                } else {
-                    hmc.cubes[c].next_wake(now)
-                }
-            }
+            (SysKey::Cube(c), Backend::Hmc(hmc)) => hmc.cubes[c].next_wake(now),
             (SysKey::Engine(c), Backend::Hmc(hmc)) => hmc.engines[c].next_wake(now),
             // The memory side re-arms a sleeping cluster when it delivers a
             // completion or gather result to it (the cores phase itself
@@ -2292,24 +2123,6 @@ impl System {
         let Backend::Hmc(hmc) = &mut self.backend else { return };
         let hmc = hmc.as_mut();
 
-        // Expire cross-cycle windows the global clock has caught up with:
-        // the cube's state already reflects local cycle `until`, so normal
-        // ticking resumes at `until + 1` with nothing left to replay (every
-        // replay stamp lies within the window and was drained at its exact
-        // cycle by a scheduled wake).
-        if self.active_windows > 0 {
-            for window in &mut self.run_ahead {
-                if window.until != 0 && now > window.until {
-                    debug_assert!(
-                        window.replay.is_empty(),
-                        "a cross-cycle window expired with undrained replay entries"
-                    );
-                    window.until = 0;
-                    self.active_windows -= 1;
-                }
-            }
-        }
-
         if is_due(SysKey::Network) {
             hmc.network.wake(now, &mut ctx);
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Network);
@@ -2327,23 +2140,6 @@ impl System {
         participants.clear();
         for c in 0..hmc.cubes.len() {
             let cube_id = CubeId::new(c);
-            if self.run_ahead[c].active(now) {
-                // The causality invariant of bounded-lag execution: the
-                // horizon under which this window was armed guarantees no
-                // delivery reaches the cube — and nothing wakes its (idle at
-                // arming time) engine — before the window has expired. These
-                // oracles back the property suite; a violation would mean an
-                // unsound lookahead bound.
-                debug_assert!(
-                    !hmc.network.has_delivery_at_cube(cube_id),
-                    "a packet reached cube {c} inside its cross-cycle window"
-                );
-                debug_assert!(
-                    hmc.engines[c].is_idle(),
-                    "cube {c}'s engine woke up inside its cross-cycle window"
-                );
-                continue;
-            }
             if !hmc.network.has_delivery_at_cube(cube_id) && !is_due(SysKey::Engine(c)) {
                 continue;
             }
@@ -2420,10 +2216,6 @@ impl System {
                 participants.push(c);
             }
         }
-        // A cube inside an active cross-cycle window was already advanced
-        // through this cycle when its window armed: it stays in the
-        // participant list (its replayed completions merge below in the same
-        // cube-index order), but must not be ticked again.
         if pool.is_some() && participants.len() >= PARALLEL_BATCH_MIN {
             let mut jobs: Vec<VaultDrainJob<'_>> = Vec::with_capacity(participants.len());
             let mut next = participants.iter().peekable();
@@ -2432,36 +2224,20 @@ impl System {
             {
                 if next.peek() == Some(&&c) {
                     next.next();
-                    if !self.run_ahead[c].active(now) {
-                        jobs.push(VaultDrainJob { cube, scratch });
-                    }
+                    jobs.push(VaultDrainJob { cube, scratch });
                 }
             }
-            run_shard_jobs(pool.as_deref_mut(), &mut jobs, |job| job.tick(now));
+            run_shard_jobs(pool, &mut jobs, |job| job.tick(now));
         } else {
             for &c in &participants {
-                if self.run_ahead[c].active(now) {
-                    continue;
-                }
                 VaultDrainJob { cube: &mut hmc.cubes[c], scratch: &mut self.cube_scratch[c] }
                     .tick(now);
             }
         }
         let mut vault_completions = std::mem::take(&mut self.completion_scratch);
         for &c in &participants {
-            if self.run_ahead[c].active(now) {
-                // Replay the run-ahead window's completions due this cycle:
-                // they were popped at exactly this local cycle during the
-                // run-ahead, so the merged stream is the one per-cycle
-                // ticking would have produced.
-                while let Some((at, resp)) = self.run_ahead[c].replay.pop_due(now) {
-                    debug_assert_eq!(at, now, "a replayed completion missed its merge cycle");
-                    vault_completions.push((c, resp));
-                }
-            } else {
-                let scratch = &mut self.cube_scratch[c];
-                vault_completions.extend(scratch.completions.drain(..).map(|resp| (c, resp)));
-            }
+            let scratch = &mut self.cube_scratch[c];
+            vault_completions.extend(scratch.completions.drain(..).map(|resp| (c, resp)));
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
         }
         self.cube_participants = participants;
@@ -2565,206 +2341,6 @@ impl System {
             }
         }
         self.host_scratch = scratch;
-
-        // With the cycle's observable effects committed, eligible cube
-        // shards may now run ahead of the global clock under conservative
-        // horizons. Event kernel only — the lock-step reference never runs
-        // ahead — and never past an observer stop (an armed window would
-        // leak work past the stop).
-        if due.is_some() && self.cross_cycle && !hub.stopped() {
-            self.try_arm_cross_cycle(now, pool);
-        }
-    }
-
-    /// Attempts to open bounded-lag run-ahead windows on eligible cube
-    /// shards.
-    ///
-    /// A cube is eligible when its engine is idle (an idle engine holds no
-    /// outstanding operand reads, so the cube's pending work can only emit
-    /// host-bound responses) and its next wake-up lies strictly below its
-    /// *horizon*: the earliest cycle at which any other shard could still
-    /// deliver an influence to it, folded from the per-shard-pair lookahead
-    /// table and each shard's earliest possible emission. Eligible cubes are
-    /// advanced event by event to their horizon on the worker pool (they own
-    /// disjoint state), their popped responses parked in per-cube replay
-    /// queues; the normal sub-phases then skip them until the global clock
-    /// catches up, merging the replay entries at their exact cycles.
-    ///
-    /// Windows never overlap in time (`active_windows == 0` is an arming
-    /// precondition) and arming is skipped entirely while packets are in
-    /// flight — the interesting shadow (cores parked on vault-latency-bound
-    /// accesses, network drained) has none, and it keeps the horizon fold to
-    /// state every shard exposes in O(1). A failed attempt backs off for
-    /// [`MIN_CROSS_CYCLE_WINDOW`] cycles so traffic-heavy regimes (where
-    /// horizons stay tight for long stretches) don't pay the fold per cycle.
-    fn try_arm_cross_cycle(&mut self, now: Cycle, pool: Option<&mut WorkerPool>) {
-        if self.active_windows != 0 || now < self.arm_backoff_until {
-            return;
-        }
-        let Some(lookahead) = &self.lookahead else { return };
-        // Effective cycle limit: a window must not run past the last cycle
-        // the kernel would process.
-        let max_cycles = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
-        if now + MIN_CROSS_CYCLE_WINDOW >= max_cycles {
-            return;
-        }
-        // Bail on in-flight traffic first — the common case in busy regimes,
-        // and O(1) — before paying for the host-side wake fold.
-        {
-            let Backend::Hmc(hmc) = &self.backend else { return };
-            if hmc.network.has_pending_delivery() {
-                self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-                return;
-            }
-        }
-        // The host side's earliest spontaneous activity (core ticks, pending
-        // completion deliveries, planned drain-window submissions) — anything
-        // it injects reaches cube `c` no earlier than `host_to_cube(c)`
-        // later. Computed before the backend borrow below.
-        let cores_wake = self.cores_next_wake(now);
-        if let NextWake::At(at) = cores_wake {
-            // Fast bail: if host activity reaches even the *closest* cube
-            // before the minimum window, no cube's horizon can qualify —
-            // skip the per-cube fold entirely. This is the common case
-            // whenever the cores are actively computing or offloading.
-            if at.saturating_add(lookahead.min_host_to_cube()) < now + MIN_CROSS_CYCLE_WINDOW {
-                self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-                return;
-            }
-        }
-        let Backend::Hmc(hmc) = &mut self.backend else { return };
-        let hmc = hmc.as_mut();
-        // Earliest in-flight arrival per cube (direct influence) and overall
-        // (indirect influence: an arrival anywhere can be re-emitted, paying
-        // at least one more hop — host ports are at least one hop from every
-        // cube — before reaching another cube).
-        let any_arrival = hmc.network.inflight_arrival_bounds(&mut self.arrival_scratch);
-        let hop_latency = self.cfg.network.hop_latency;
-        let cores_bound = match cores_wake {
-            NextWake::At(at) => Some(at),
-            NextWake::Idle => None,
-        };
-        // No idle engine means no candidate cube: skip the per-vault probe
-        // pass entirely (the common state while ARE flows are live).
-        if !hmc.engines.iter().any(|engine| engine.is_idle()) {
-            self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-            return;
-        }
-        // One O(vaults) probe per cube up front — the pair fold below then
-        // reads each cube's emission state in O(1).
-        self.emit_scratch.clear();
-        self.emit_scratch.extend((0..hmc.cubes.len()).map(|d| {
-            (
-                hmc.cubes[d].earliest_response_at(now),
-                hmc.engines[d].is_idle(),
-                hmc.engines[d].next_wake(now),
-            )
-        }));
-        let mut armed = 0usize;
-        for c in 0..hmc.cubes.len() {
-            let (self_emit, engine_idle, _) = self.emit_scratch[c];
-            if !engine_idle {
-                continue;
-            }
-            let NextWake::At(first) = hmc.cubes[c].next_wake(now) else { continue };
-            // Fold the horizon: the earliest cycle any influence could still
-            // reach cube `c`.
-            let mut horizon = Horizon::unbounded();
-            horizon.cap(max_cycles);
-            horizon.cap(self.arrival_scratch[c]);
-            horizon.cap_event(any_arrival, hop_latency);
-            horizon.cap_event(cores_bound, lookahead.host_to_cube(c));
-            for (d, &(emit, idle, engine_wake)) in self.emit_scratch.iter().enumerate() {
-                if d == c {
-                    continue;
-                }
-                let Some(emit) = emit else {
-                    // Nothing pending and an idle engine never wakes on its
-                    // own; a busy engine with an empty cube still can.
-                    match engine_wake {
-                        NextWake::At(at) => {
-                            horizon.cap(
-                                at.saturating_add(
-                                    lookahead
-                                        .cube_to_cube(d, c)
-                                        .min(lookahead.cube_to_host(d) + lookahead.host_to_cube(c)),
-                                ),
-                            );
-                        }
-                        NextWake::Idle => {}
-                    }
-                    continue;
-                };
-                let emit = match engine_wake {
-                    // A busy engine can emit active packets straight to
-                    // another cube when it next wakes.
-                    NextWake::At(at) => emit.min(at),
-                    NextWake::Idle => emit,
-                };
-                let reach = if idle {
-                    // Idle engine: every emission is a host-bound vault
-                    // response; the shortest way back to cube `c` bounces
-                    // through a host port.
-                    lookahead.cube_to_host(d) + lookahead.host_to_cube(c)
-                } else {
-                    lookahead
-                        .cube_to_cube(d, c)
-                        .min(lookahead.cube_to_host(d) + lookahead.host_to_cube(c))
-                };
-                horizon.cap(emit.saturating_add(reach));
-            }
-            // The cube's own emissions can come back at it through the host.
-            if let Some(emit) = self_emit {
-                horizon.cap(
-                    emit.saturating_add(lookahead.cube_to_host(c) + lookahead.host_to_cube(c)),
-                );
-            }
-            let horizon = horizon.cycle();
-            if !(first > now && first < horizon) {
-                continue;
-            }
-            if horizon < now + MIN_CROSS_CYCLE_WINDOW {
-                continue;
-            }
-            self.window_candidates.push((c, horizon));
-        }
-        if self.window_candidates.is_empty() {
-            self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-            return;
-        }
-        // Run the eligible cubes ahead — concurrently when a pool is
-        // attached; the jobs own disjoint cube/window pairs.
-        {
-            let mut jobs: Vec<RunAheadJob<'_>> = Vec::with_capacity(self.window_candidates.len());
-            let mut next = self.window_candidates.iter().peekable();
-            for ((c, cube), window) in
-                hmc.cubes.iter_mut().enumerate().zip(self.run_ahead.iter_mut())
-            {
-                if let Some(&&(cand, horizon)) = next.peek() {
-                    if cand == c {
-                        next.next();
-                        jobs.push(RunAheadJob { cube, window, from: now, horizon });
-                    }
-                }
-            }
-            run_shard_jobs(pool, &mut jobs, |job| job.run());
-        }
-        // Commit in ascending cube order: count the windows that actually
-        // advanced and re-arm their scheduler entries so the replay stamps
-        // (and the post-window wake) are visited at their exact cycles.
-        for &(c, _) in &self.window_candidates {
-            if self.run_ahead[c].until == 0 {
-                continue;
-            }
-            armed += 1;
-            Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
-        }
-        self.window_candidates.clear();
-        if armed == 0 {
-            self.arm_backoff_until = now + MIN_CROSS_CYCLE_WINDOW;
-        }
-        self.active_windows += armed;
-        self.cross_cycle_windows += armed as u64;
     }
 
     /// Applies collected engine outputs (network injections, operand vault
@@ -2887,7 +2463,6 @@ impl System {
                     && hmc.cubes.iter().all(HmcCube::is_idle)
                     && hmc.engines.iter().all(ActiveRoutingEngine::is_idle)
                     && hmc.controller.as_ref().map(HostOffloadController::is_idle).unwrap_or(true)
-                    && self.run_ahead.iter().all(|w| w.replay.is_empty())
             }
         }
     }
@@ -2906,15 +2481,6 @@ impl System {
     /// counter (the kernel tests and the bench harness read it).
     pub fn drain_windows(&self) -> u64 {
         self.drain_windows
-    }
-
-    /// Number of cross-cycle run-ahead windows armed so far. A diagnostic
-    /// with the same contract as [`System::drain_windows`]: reports cannot
-    /// tell bounded-lag execution from per-cycle ticking, so this counter is
-    /// the only observable trace (the kernel tests and the bench harness
-    /// read it).
-    pub fn cross_cycle_windows(&self) -> u64 {
-        self.cross_cycle_windows
     }
 
     fn into_report(self, network_cycles: u64, completed: bool) -> SimReport {
@@ -3180,102 +2746,5 @@ mod tests {
         assert_eq!(planned, lockstep, "the event kernel must match the per-cycle oracle");
         assert!(planned.completed);
         assert_eq!(planned.updates_offloaded, 4 * 2_000);
-    }
-
-    /// A system whose cores all park on cache-missing loads: once the
-    /// requests reach the cubes, the network drains and the vaults grind
-    /// through their access latency with nothing else in flight — the
-    /// latency shadow bounded-lag cross-cycle execution exploits.
-    fn vault_shadow_system() -> System {
-        let mut cfg = SystemConfig::small();
-        cfg.max_cycles = 1_000_000;
-        let streams = (0..cfg.cores.count)
-            .map(|t| {
-                let mut s = WorkStream::new(ThreadId::new(t));
-                for i in 0..64u64 {
-                    s.push(WorkItem::Load(Addr::new(0x40_0000 + (t as u64 * 64 + i) * 4096)));
-                }
-                s
-            })
-            .collect();
-        System::new(cfg, streams, Vec::new()).expect("valid configuration")
-    }
-
-    /// The cross-cycle arming probe: reports are byte-identical with and
-    /// without bounded-lag execution (the equivalence suite owns that axis),
-    /// so this is the one place that verifies the event kernel really opens
-    /// run-ahead windows in a vault-latency shadow — and that the lock-step
-    /// reference and the disabled knob never do.
-    #[test]
-    fn event_kernel_arms_cross_cycle_windows_in_vault_shadows() {
-        // 2000 cycles spans many load/shadow rounds even with the arming
-        // backoff skipping probe cycles.
-        let mut sys = vault_shadow_system();
-        drive_steps(&mut sys, true, 2_000);
-        assert!(
-            sys.cross_cycle_windows() > 0,
-            "a vault-latency shadow must open a cross-cycle window"
-        );
-
-        let mut lockstep = vault_shadow_system();
-        drive_steps(&mut lockstep, false, 2_000);
-        assert_eq!(lockstep.cross_cycle_windows(), 0, "the per-cycle oracle must never run ahead");
-
-        let mut disabled = vault_shadow_system().with_cross_cycle(false);
-        drive_steps(&mut disabled, true, 2_000);
-        assert_eq!(disabled.cross_cycle_windows(), 0, "the knob must gate arming");
-    }
-
-    /// A cube inside a run-ahead window must wake only at its replay stamps
-    /// (each completion merges at its exact cycle), never at the calendar
-    /// events its window already consumed.
-    #[test]
-    fn window_cube_wakes_at_replay_stamps_only() {
-        let mut sys = vault_shadow_system();
-        let shard_count = SysKey::FIXED_SHARDS + System::backend_cube_count(&sys.backend);
-        let mut sched: ShardedScheduler<SysKey> = ShardedScheduler::new(shard_count, SysKey::shard);
-        sched.wake(SysKey::Cores);
-        sched.schedule(sys.next_ipc_boundary(0), SysKey::Ipc);
-        let mut due: Vec<SysKey> = Vec::new();
-        let mut hub = ObserverHub::new(&mut []);
-        // Step until the first window with a still-pending replay entry.
-        let mut caught = None;
-        for now in 0..2_000u64 {
-            sched.pop_due_into(now, &mut due);
-            sys.step(now, Some(&due[..]), &mut sched, &mut hub, None);
-            if sys.run_ahead.iter().any(|w| w.until != 0 && !w.replay.is_empty()) {
-                caught = Some(now);
-                break;
-            }
-        }
-        let now = caught.expect("the vault shadow must open a window with pending replays");
-        let (c, window) = sys
-            .run_ahead
-            .iter()
-            .enumerate()
-            .find(|(_, w)| w.until != 0 && !w.replay.is_empty())
-            .expect("just observed above");
-        let stamp = window.replay.next_at().expect("non-empty replay");
-        assert!(window.active(now));
-        assert!(stamp > now, "replay stamps always lie ahead of the arming cycle");
-        // The scheduled wake must be the stamp itself, not any earlier
-        // (already-consumed) cube calendar event.
-        match sys.next_wake_of(now, SysKey::Cube(c)) {
-            NextWake::At(at) => assert_eq!(at, stamp, "window cube must wake at its replay stamp"),
-            NextWake::Idle => panic!("a window with replay entries still has scheduled work"),
-        }
-    }
-
-    /// End-to-end: the load-heavy run finishes with the identical report
-    /// whether cube shards run ahead or tick per cycle, against both the
-    /// cross-cycle-off event kernel and the lock-step oracle.
-    #[test]
-    fn cross_cycle_and_per_cycle_runs_report_identically() {
-        let ahead = vault_shadow_system().run();
-        let ticked = vault_shadow_system().with_cross_cycle(false).run();
-        let lockstep = vault_shadow_system().run_lockstep();
-        assert_eq!(ahead, ticked, "bounded-lag execution must not change the report");
-        assert_eq!(ahead, lockstep, "the event kernel must match the per-cycle oracle");
-        assert!(ahead.completed);
     }
 }

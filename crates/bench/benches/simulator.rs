@@ -281,13 +281,12 @@ fn bench_kernel_checkpoint(c: &mut Criterion) {
         b.iter(|| build_restore(&base, ck.clone()).expect("valid restore"))
     });
 
-    // Four report-neutral knob variants, the warm-fan-out shape: one shared
-    // prefix + four resumed tails, vs four cold full runs.
+    // Three report-neutral knob variants, the warm-fan-out shape: one shared
+    // prefix + three resumed tails, vs three cold full runs.
     let variants = [
         CellKnobs::default(),
         CellKnobs { threads: 4, ..CellKnobs::default() },
         CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
-        CellKnobs { cross_cycle: Some(false), ..CellKnobs::default() },
     ];
     let cell = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Small);
     let workload: Arc<dyn ar_workloads::Workload> = Arc::new(WorkloadKind::Pagerank);

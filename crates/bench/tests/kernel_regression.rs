@@ -226,57 +226,6 @@ fn drain_fast_forward_does_not_regress_on_paper_scale_pagerank() {
     );
 }
 
-fn build_paper_cc(cross_cycle: bool, threads: usize) -> ar_system::System {
-    Simulation::builder()
-        .config(ar_experiments::ExperimentScale::Full.system_config())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Paper)
-        .cross_cycle(cross_cycle)
-        .threads(threads)
-        .build()
-        .expect("valid configuration")
-        .into_system()
-}
-
-/// Bounded-lag cross-cycle execution must hold at least parity on
-/// paper-scale pagerank: forcing run-ahead on (the builder default) may not
-/// run meaningfully slower than the per-cycle event kernel, and must
-/// produce the identical report — including at `threads(4)`, where
-/// run-ahead jobs dispatch over the worker pool and the timestamped replays
-/// merge across shards. Offload-heavy pagerank keeps the engines busy, so
-/// windows are scarce — exactly the regime where an arming probe that costs
-/// more than the cube ticks it skips would silently tax every paper run.
-/// The 15% head-room absorbs scheduler noise on shared runners.
-#[test]
-fn cross_cycle_does_not_regress_on_paper_scale_pagerank() {
-    let _ = build_paper_cc(false, 1).run();
-    let reports = RefCell::new(Vec::new());
-    let (off, on) = ab_best_of(
-        3,
-        || timed(build_paper_cc(false, 1), &reports),
-        || timed(build_paper_cc(true, 1), &reports),
-    );
-    println!(
-        "paper-scale pagerank/ARF-tid: cross-cycle off {:?} vs on {:?} ({:.2}x)",
-        off,
-        on,
-        off.as_secs_f64() / on.as_secs_f64()
-    );
-    // The sharded kernel with run-ahead enabled must reproduce the same
-    // bytes the serial kernels pinned above (clamped to the host's
-    // parallelism by the builder, like the sharded gate).
-    let sharded = build_paper_cc(true, 4).run();
-    assert!(sharded.completed);
-    reports.borrow_mut().push(sharded);
-    assert_reports_agree(&reports, "cross-cycle execution");
-    assert!(
-        on.as_secs_f64() <= off.as_secs_f64() * 1.15,
-        "cross-cycle run-ahead regressed past the per-cycle event kernel on pagerank: \
-         {on:?} vs {off:?}"
-    );
-}
-
 /// On the workload the drain planner is *for* — long uninterrupted MI-full
 /// `Update` runs — planned windows must hold parity with per-cycle ticking
 /// at an identical report. Parity, not speedup, is the honest contract: the

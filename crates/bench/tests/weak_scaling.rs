@@ -15,7 +15,7 @@
 //!
 //! The same run doubles as the artifact recorder: setting
 //! `WEAK_SCALING_RECORD=1` rewrites `BENCH_weak_scaling.json` with the
-//! machine table (wall clock, heap allocations per simulated network cycle
+//! host's CPU count and the machine table (wall clock, heap allocations per simulated network cycle
 //! via [`bench::CountingAlloc`], peak RSS from `VmHWM`, and the packet
 //! pool's peak in-flight footprint from
 //! [`ar_system::System::run_with_footprint`]) instead of gating. Machines
@@ -133,8 +133,10 @@ fn measure(scale: &'static str, base: &SystemConfig, size: SizeClass) -> Machine
 }
 
 fn to_json(rows: &[MachineRow], ratio: f64) -> Json {
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     Json::obj([
         ("schema", Json::from(1_u64)),
+        ("host_cpus", Json::from(host_cpus)),
         ("workload", Json::from("offload_bursts")),
         ("updates_per_thread", Json::from(BURSTS.updates_per_thread)),
         ("scaled_over_paper_wall_ratio", Json::from(ratio)),

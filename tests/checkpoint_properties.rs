@@ -214,3 +214,45 @@ fn truncated_and_corrupted_checkpoint_bytes_fail_to_decode() {
         }
     }
 }
+
+/// Points every in-flight memory transaction of a checkpoint at `port` and
+/// returns how many were rewritten.
+fn redirect_transaction_ports(ck: &mut Checkpoint, port: usize) -> usize {
+    let Json::Obj(fields) = &mut ck.state else { panic!("system state is an object") };
+    let (_, txns) = fields.iter_mut().find(|(k, _)| k == "mem_txns").expect("state has mem_txns");
+    let Json::Arr(txns) = txns else { panic!("mem_txns is an array") };
+    for txn in txns.iter_mut() {
+        let Json::Obj(fields) = txn else { panic!("a transaction is an object") };
+        let (_, value) = fields.iter_mut().find(|(k, _)| k == "port").expect("txn has a port");
+        *value = Json::from(port);
+    }
+    txns.len()
+}
+
+/// A transaction's port is where its response travels back to, so a port
+/// the machine does not have must be rejected at restore time — not accepted
+/// and then crash the resumed run when the response is routed.
+#[test]
+fn out_of_range_transaction_ports_fail_to_restore() {
+    let cfg = SystemConfig::small();
+    for (named, ports) in [
+        (NamedConfig::Hmc, cfg.network.host_ports),
+        (NamedConfig::Dram, cfg.noc.memory_controllers),
+    ] {
+        let build = || {
+            Simulation::builder()
+                .config(cfg.clone())
+                .named(named)
+                .workload(WorkloadKind::Pagerank)
+                .size(SizeClass::Tiny)
+        };
+        let mut warm = build().build().expect("valid");
+        assert!(!warm.run_prefix(200), "{named}: the prefix must stop mid-run");
+        for port in [ports, 99] {
+            let mut ck = wire_checkpoint(&warm);
+            assert!(redirect_transaction_ports(&mut ck, port) > 0, "{named}: no txn in flight");
+            let restore = build().from_checkpoint(ck).build();
+            assert!(restore.is_err(), "{named}: a txn on port {port} of {ports} must not restore");
+        }
+    }
+}

@@ -203,39 +203,6 @@ fn golden_corpus_matches_fixtures_with_drain_fast_forward() {
     }
 }
 
-/// Bounded-lag cross-cycle execution must reproduce the frozen corpus
-/// *unchanged*: a run-ahead window ticks an isolated cube to its
-/// conservative lookahead horizon and replays the timestamped responses at
-/// their true cycles, so forcing the knob on — it is the builder default,
-/// but the forced setting pins the path independently of that default —
-/// must match the exact bytes the per-cycle cube path pinned. Skipped under
-/// `UPDATE_GOLDEN=1` like the threads comparison.
-#[test]
-fn golden_corpus_matches_fixtures_with_cross_cycle() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
-        eprintln!("UPDATE_GOLDEN=1: skipping the cross-cycle comparison (regeneration mode)");
-        return;
-    }
-    for (config, kind, size) in CELLS {
-        let label = format!("{kind}/{config}/{size} @ cross_cycle");
-        let report = Simulation::builder()
-            .config(quick_cfg())
-            .named(config)
-            .workload(kind)
-            .size(size)
-            .cross_cycle(true)
-            .build()
-            .expect("valid configuration")
-            .run();
-        let path = fixture_path(config, kind, size);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{label}: missing fixture {} ({e})", path.display()));
-        let golden = SimReport::from_json(&Json::parse(&text).expect("well-formed fixture JSON"))
-            .expect("fixture must deserialize");
-        assert_eq!(report, golden, "{label}: cross-cycle drifted from the golden fixture");
-    }
-}
-
 /// The corpus must round-trip through the JSON shim losslessly — otherwise a
 /// fixture mismatch could be a serialization artefact rather than a timing
 /// drift.

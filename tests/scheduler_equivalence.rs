@@ -27,14 +27,6 @@
 //! `System::with_threads`, guaranteeing the pool path runs with real worker
 //! threads even on a single-CPU machine.
 //!
-//! The newest axis is **cross-cycle execution**: bounded-lag run-ahead
-//! windows let an isolated cube tick several cycles past the global clock
-//! and replay its timestamped responses at merge time. Every cell re-runs
-//! with the knob forced on and off at `threads ∈ {1, 2, 4}` — window
-//! arming, the conservative lookahead horizon and the timestamped replay
-//! merge may never change a single report byte relative to the per-cycle
-//! kernels.
-//!
 //! Finally every cell carries a **snapshot/restore axis**: the run is
 //! split at its halfway cycle through a [`Checkpoint`] round-tripped
 //! through its serialized JSON form (exactly like a restore from disk),
@@ -98,11 +90,6 @@ const SHARDED_THREADS: [usize; 2] = [2, 4];
 /// The thread counts of the fast-forward axes (compute and offload-drain).
 const FAST_FORWARD_THREADS: [usize; 2] = [1, 4];
 
-/// The thread counts of the cross-cycle axis: run-ahead jobs execute inline
-/// at 1 and on the worker pool at 2 and 4, and the merged replays must be
-/// identical either way.
-const CROSS_CYCLE_THREADS: [usize; 3] = [1, 2, 4];
-
 /// Shared matrix helper: runs one workload under every named configuration
 /// (the five plotted ones plus ARF-tid-adaptive) with both kernels and
 /// asserts identical reports, naming the failing (workload, config) cell.
@@ -113,12 +100,6 @@ const CROSS_CYCLE_THREADS: [usize; 3] = [1, 2, 4];
 /// default is decided by the workload's compute-block statistics, so both
 /// forced modes genuinely differ from some default) — the analytic
 /// retire/issue schedule may never change a single report byte.
-///
-/// Next is the **cross-cycle axis**: bounded-lag run-ahead forced on and
-/// off at `threads ∈ {1, 2, 4}` (the builder's default enables it, so the
-/// forced-off runs genuinely differ from the default). A window ticks an
-/// isolated cube to its conservative horizon and replays the timestamped
-/// responses at merge time, and none of it may change a single report byte.
 ///
 /// The final sweep is the **offload-drain axis**: the closed-form drain
 /// planner forced on and off at `threads ∈ {1, 4}` (the builder's default
@@ -152,21 +133,6 @@ fn assert_workload_equivalence(kind: WorkloadKind) {
                     &event,
                     &fast,
                     &format!("{kind}/{named} @ fast_forward={ff} threads={threads}"),
-                );
-            }
-        }
-        for cc in [true, false] {
-            for threads in CROSS_CYCLE_THREADS {
-                let crossed = builder(named, kind, SizeClass::Tiny)
-                    .cross_cycle(cc)
-                    .threads(threads)
-                    .build()
-                    .expect("valid configuration")
-                    .run();
-                assert_identical(
-                    &event,
-                    &crossed,
-                    &format!("{kind}/{named} @ cross_cycle={cc} threads={threads}"),
                 );
             }
         }
@@ -305,23 +271,6 @@ fn forced_worker_pool_is_byte_identical_on_any_host() {
                 &forced,
                 &format!("{kind}/{named} forced pool @ threads={threads}"),
             );
-            // Run-ahead jobs dispatch over the same pool; forced real worker
-            // threads with cross-cycle windows enabled must merge the
-            // timestamped replays to the identical report.
-            for cc in [true, false] {
-                let crossed = builder(named, kind, SizeClass::Tiny)
-                    .build()
-                    .expect("valid")
-                    .into_system()
-                    .with_threads(threads)
-                    .with_cross_cycle(cc)
-                    .run();
-                assert_identical(
-                    &serial,
-                    &crossed,
-                    &format!("{kind}/{named} forced pool @ threads={threads} cross_cycle={cc}"),
-                );
-            }
         }
     }
 }
@@ -390,21 +339,6 @@ fn cycle_limit_truncates_both_kernels_identically() {
         .expect("valid")
         .run();
     assert_identical(&event, &drained, "truncated pagerank @ drain_fast_forward=true");
-    // The cycle limit can strike while a cross-cycle window is still open;
-    // the report must ignore the run-ahead state beyond the limit and come
-    // out identical to the per-cycle kernels.
-    for cc in [true, false] {
-        let crossed = Simulation::builder()
-            .config(cfg.clone())
-            .named(NamedConfig::ArfTid)
-            .workload(WorkloadKind::Pagerank)
-            .size(SizeClass::Tiny)
-            .cross_cycle(cc)
-            .build()
-            .expect("valid")
-            .run();
-        assert_identical(&event, &crossed, &format!("truncated pagerank @ cross_cycle={cc}"));
-    }
 }
 
 /// An observer stopping the run early must also leave both kernels with
@@ -455,20 +389,6 @@ fn observer_stop_truncates_both_kernels_identically() {
             &event,
             &drained,
             &format!("deadline-{deadline} pagerank @ drain_fast_forward=true"),
-        );
-        // An observer stop lands on an IPC boundary, possibly with an armed
-        // run-ahead window whose replays lie beyond the stop; the forced-on
-        // run must still truncate to the identical report.
-        let crossed = builder(NamedConfig::ArfTid, WorkloadKind::Pagerank, SizeClass::Small)
-            .observer(DeadlineStop::at(deadline))
-            .cross_cycle(true)
-            .build()
-            .expect("valid")
-            .run();
-        assert_identical(
-            &event,
-            &crossed,
-            &format!("deadline-{deadline} pagerank @ cross_cycle=true"),
         );
     }
 }
