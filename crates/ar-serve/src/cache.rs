@@ -24,6 +24,7 @@
 //! or mismatched entry is treated as a miss, never an error.
 
 use ar_system::{SimReport, CACHE_SCHEMA_VERSION};
+use ar_types::hash::fnv1a_64;
 use ar_types::json::Json;
 use std::fs;
 use std::io;
@@ -95,11 +96,20 @@ impl ReportCache {
     /// [`ar_system::CellKey::cache_key`] document). Returns `None` — a miss —
     /// for absent, unreadable, truncated, corrupt, or hash-colliding entries.
     pub fn load(&self, key: &Json) -> Option<SimReport> {
-        let path = self.entry_path(key.content_hash());
-        let text = fs::read_to_string(path).ok()?;
+        let canonical = key.canonical_render();
+        self.load_canonical(fnv1a_64(canonical.as_bytes()), &canonical)
+    }
+
+    /// [`ReportCache::load`] for a key the caller has already rendered with
+    /// [`Json::canonical_render`] and hashed with [`fnv1a_64`], the two steps
+    /// of [`Json::content_hash`], so a hot path renders each key once. A `hash`
+    /// that does not belong to `canonical` reads some other entry, whose
+    /// stored key then fails the comparison: a miss, never a wrong report.
+    pub(crate) fn load_canonical(&self, hash: u64, canonical: &str) -> Option<SimReport> {
+        let text = fs::read_to_string(self.entry_path(hash)).ok()?;
         let doc = Json::parse(&text).ok()?;
         // A 64-bit hash can collide; the stored canonical key disambiguates.
-        if doc.get("key")?.canonical_render() != key.canonical_render() {
+        if doc.get("key")?.canonical_render() != canonical {
             return None;
         }
         SimReport::from_json(doc.get("report")?).ok()

@@ -15,11 +15,18 @@
 
 use ar_system::{CellKey, SimReport};
 use ar_types::json::{Json, JsonError};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Wire-protocol revision. Bumped on any incompatible message change;
 /// [`Event::Hello`] carries it so clients can fail fast on mismatch.
 pub const PROTOCOL_VERSION: u32 = 1;
+
+/// The longest request line the server reads, in bytes before the newline.
+/// Without a bound, a peer that never sends a newline would grow the
+/// server's buffer without limit; past it the server answers with
+/// [`Event::Error`] and closes the connection. A 45-cell figure matrix is
+/// about 6 KB, so this leaves room for about 100k cells.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -380,18 +387,34 @@ pub fn write_line(writer: &mut impl Write, doc: &Json) -> io::Result<()> {
 /// Propagates the underlying I/O error; malformed JSON maps to
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_line(reader: &mut impl BufRead) -> io::Result<Option<Json>> {
-    let mut line = String::new();
+    read_line_within(reader, u64::MAX)
+}
+
+/// [`read_line`] for the server's request reads: a line longer than
+/// [`MAX_REQUEST_LINE`] is an `InvalidData` error once `MAX_REQUEST_LINE + 1`
+/// of its bytes have been read.
+pub(crate) fn read_request_line(reader: &mut impl BufRead) -> io::Result<Option<Json>> {
+    read_line_within(reader, MAX_REQUEST_LINE as u64)
+}
+
+/// [`read_line`] for lines of at most `max` bytes before the newline.
+fn read_line_within(reader: &mut impl BufRead, max: u64) -> io::Result<Option<Json>> {
+    let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let read = reader.by_ref().take(max.saturating_add(1)).read_until(b'\n', &mut line)?;
+        if read == 0 {
             return Ok(None);
         }
-        if line.trim().is_empty() {
+        if line.last() != Some(&b'\n') && read as u64 > max {
+            return Err(invalid(format!("line longer than {max} bytes")));
+        }
+        let text = std::str::from_utf8(&line).map_err(|e| invalid(e.to_string()))?;
+        if text.trim().is_empty() {
             continue; // Tolerate blank keep-alive lines.
         }
-        return Json::parse(line.trim())
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+        return Json::parse(text.trim()).map(Some).map_err(|e| invalid(e.to_string()));
     }
 }
 
@@ -461,5 +484,22 @@ mod tests {
         assert!(read_line(&mut reader).unwrap().is_none(), "EOF is None");
         let mut garbage = io::BufReader::new(&b"{oops\n"[..]);
         assert!(read_line(&mut garbage).is_err(), "malformed lines are InvalidData");
+    }
+
+    #[test]
+    fn bounded_reads_fail_one_byte_past_the_bound() {
+        let mut fits = io::BufReader::new(&b"[1,22]\n"[..]);
+        let doc = read_line_within(&mut fits, 6).expect("six bytes fit").expect("one line");
+        assert_eq!(doc.render(), "[1,22]");
+
+        // Seven bytes without a newline: the read fails having consumed
+        // exactly those seven, and nothing after them.
+        let mut over = io::BufReader::new(&b"[1,222]\n{}\n"[..]);
+        let err = read_line_within(&mut over, 6).expect_err("seven bytes overflow a bound of six");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than 6 bytes"), "{err}");
+        let mut rest = Vec::new();
+        over.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, b"\n{}\n");
     }
 }

@@ -18,10 +18,11 @@
 
 use crate::cache::ReportCache;
 use crate::protocol::{
-    read_line, write_line, CellStatus, Event, Request, StatsSnapshot, PROTOCOL_VERSION,
+    read_request_line, write_line, CellStatus, Event, Request, StatsSnapshot, PROTOCOL_VERSION,
 };
 use ar_system::{CellKey, Observer, ObserverControl, SimEvent, SimReport, CACHE_SCHEMA_VERSION};
 use ar_types::config::SystemConfig;
+use ar_types::hash::fnv1a_64;
 use ar_workloads::WorkloadRegistry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter};
@@ -426,6 +427,10 @@ fn serve_connection(
     stream: TcpStream,
     server_addr: SocketAddr,
 ) -> io::Result<()> {
+    // Every reply is a run of small lines, each flushed as it is written.
+    // Under Nagle's algorithm each line after the first would wait for the
+    // client's delayed ACK, 40 ms or more on Linux.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     write_line(
@@ -438,7 +443,7 @@ fn serve_connection(
         .to_json(),
     )?;
     loop {
-        let doc = match read_line(&mut reader) {
+        let doc = match read_request_line(&mut reader) {
             Ok(Some(doc)) => doc,
             Ok(None) => return Ok(()),
             Err(e) => {
@@ -484,8 +489,10 @@ fn serve_run(
     let mut hit_reports: Vec<(usize, SimReport)> = Vec::new();
 
     for (index, cell) in cells.iter().enumerate() {
-        let cache_key = cell.cache_key(&shared.base);
-        let hash = cache_key.content_hash();
+        // Rendered once: the dedup map, the `accepted` line and the cache
+        // lookup all address the cell by this text and its hash.
+        let canonical = cell.cache_key(&shared.base).canonical_render();
+        let hash = fnv1a_64(canonical.as_bytes());
         let subscriber = || Subscriber { index, tx: tx.clone(), progress };
 
         let status = {
@@ -507,7 +514,7 @@ fn serve_run(
                 CellStatus::Queued
             } else {
                 drop(st);
-                if let Some(report) = shared.cache.load(&cache_key) {
+                if let Some(report) = shared.cache.load_canonical(hash, &canonical) {
                     shared.cache_hits.fetch_add(1, Ordering::Relaxed);
                     hit_reports.push((index, report));
                     hits += 1;

@@ -13,15 +13,24 @@
 //!   serves everything from disk (zero recomputed cells);
 //! * a full sweep matrix resubmitted through the server recomputes nothing;
 //! * a workload that panics mid-run fails its own cell with a `cell_error`
-//!   event while the rest of the batch — and the daemon — keep working.
+//!   event while the rest of the batch — and the daemon — keep working;
+//! * warm requests answer in milliseconds: no reply line waits for the
+//!   client's delayed ACK;
+//! * a request line past `MAX_REQUEST_LINE` gets an `error` event and a
+//!   closed connection instead of an ever-growing server buffer.
 
+use active_routing_repro::ar_serve::protocol::MAX_REQUEST_LINE;
 use active_routing_repro::ar_serve::{CellStatus, Event, ServerConfig, SweepClient, SweepServer};
 use active_routing_repro::ar_system::{CellKey, Sweep};
 use active_routing_repro::ar_types::config::{NamedConfig, SystemConfig};
+use active_routing_repro::ar_types::Json;
 use active_routing_repro::ar_workloads::{
     GeneratedWorkload, SizeClass, Variant, Workload, WorkloadKind, WorkloadRegistry,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn quick_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::small();
@@ -276,6 +285,86 @@ fn unknown_workloads_fail_the_cell_not_the_server() {
     let good = [CellKey::new("reduce", NamedConfig::Hmc, SizeClass::Tiny)];
     let outcomes = client.run_cells(&good).expect("valid cell still works");
     assert!(outcomes[0].report.completed);
+    server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
+fn warm_requests_do_not_wait_for_delayed_acks() {
+    let (server, cache) = start("latency", 1);
+    let addr = server.addr();
+    let cells = [CellKey::new("reduce", NamedConfig::Hmc, SizeClass::Tiny)];
+    let mut client = SweepClient::connect(addr).expect("connect");
+    assert!(!client.run_cells(&cells).expect("cold run")[0].cached);
+    let warm = |client: &mut SweepClient| {
+        let outcomes = client.run_cells(&cells).expect("warm request");
+        assert!(outcomes[0].cached, "the cell was stored by the cold run");
+    };
+
+    // A warm reply is three flushed lines (`accepted`, `done`, `sweep_done`).
+    // With Nagle's algorithm on the server's socket, each line after the
+    // first waits for the client's delayed ACK, 40 ms or more on Linux, so
+    // neither bound below can be met; without it a request takes about a
+    // millisecond. Best-of runs keep neighbouring tests' load out.
+    let fresh_connection = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            warm(&mut SweepClient::connect(addr).expect("connect"));
+            start.elapsed()
+        })
+        .min()
+        .expect("five samples");
+    assert!(
+        fresh_connection < Duration::from_millis(20),
+        "a warm one-cell request on a fresh connection took {fresh_connection:?}"
+    );
+    let back_to_back = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..5 {
+                warm(&mut client);
+            }
+            start.elapsed()
+        })
+        .min()
+        .expect("three samples");
+    assert!(
+        back_to_back < Duration::from_millis(100),
+        "five back-to-back warm requests on one connection took {back_to_back:?}"
+    );
+    server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
+fn overlong_request_lines_get_an_error_and_a_closed_connection() {
+    let (server, cache) = start("overlong", 1);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    // A server that never gives up on the line would block this read
+    // forever; fail instead.
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("set a read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the socket"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+    assert!(line.contains("\"hello\""), "{line}");
+
+    // One byte past the bound and no newline. The server reads every byte
+    // before it gives up, so closing sends a FIN rather than a reset and
+    // the error event arrives intact.
+    stream.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).expect("send the overlong line");
+    line.clear();
+    reader.read_line(&mut line).expect("the error event");
+    let event =
+        Event::from_json(&Json::parse(line.trim()).expect("one JSON line")).expect("a known event");
+    match event {
+        Event::Error { message } => assert!(message.contains("longer than"), "{message}"),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("a clean close"), 0, "EOF after the error");
+
+    // Other connections are unaffected.
+    SweepClient::connect(server.addr()).expect("reconnect").ping().expect("ping");
     server.shutdown().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(cache);
 }
