@@ -21,10 +21,16 @@ pub struct HmcCube {
     crossbar_latency: Cycle,
     /// Requests that found their vault queue full and are waiting to retry.
     retry: Vec<VaultRequest>,
-    /// Earliest vault-side event, folded over all vaults during the last
-    /// [`HmcCube::tick`]. Vault state only changes inside `tick`, so the
+    /// One bit per vault (bit `v % 64` of word `v / 64`), set while the
+    /// vault holds queued or in-flight work. A vault only gains work in
+    /// [`HmcCube::dispatch`] and only loses it inside [`HmcCube::tick`],
+    /// which clears the bit of every visited vault left idle, so a clear bit
+    /// always means an idle vault.
+    busy: Vec<u64>,
+    /// Earliest vault-side event, folded over the busy vaults during the
+    /// last [`HmcCube::tick`]. Vault state only changes inside `tick`, so the
     /// cache lets [`Component::next_wake`] stay O(1) instead of re-scanning
-    /// all 32 vaults.
+    /// the vaults.
     vault_wake: NextWake,
     rejected: u64,
 }
@@ -41,6 +47,7 @@ impl HmcCube {
             map: AddressMap::new(network_cubes, cfg.vaults, cfg.banks_per_vault),
             crossbar_latency: cfg.crossbar_latency,
             retry: Vec::new(),
+            busy: vec![0; cfg.vaults.div_ceil(64)],
             vault_wake: NextWake::Idle,
             rejected: 0,
         }
@@ -67,13 +74,13 @@ impl HmcCube {
         Ok(())
     }
 
-    /// Advances the cube to `now`. Only vaults with queued requests or due
-    /// completions are visited; an idle vault is skipped (its tick is a
-    /// no-op), so the cost of a cube cycle is proportional to the number of
-    /// busy vaults rather than the vault count. Each visited vault drains its
-    /// whole backlog in the one call (see [`Vault::tick`]), so after this
-    /// returns the cube's next event is a completion or retry — never a
-    /// "queue still busy" per-cycle re-arm.
+    /// Advances the cube to `now`. Only the vaults in the busy set are
+    /// visited, in ascending vault order; an idle vault is never touched (its
+    /// tick would be a no-op), so the cost of a cube cycle is proportional to
+    /// the number of busy vaults rather than the vault count. Each visited
+    /// vault drains its whole backlog in the one call (see [`Vault::tick`]),
+    /// so after this returns the cube's next event is a completion or retry —
+    /// never a "queue still busy" per-cycle re-arm.
     pub fn tick(&mut self, now: Cycle) {
         // Retry requests that previously found a full vault queue.
         if !self.retry.is_empty() {
@@ -86,26 +93,40 @@ impl HmcCube {
         while let Some(req) = self.inbound.pop_ready(now) {
             self.dispatch(req);
         }
-        // Advance the busy vaults, collect due completions, and fold the
-        // earliest remaining vault event into the wake cache.
+        // Advance the busy vaults, collect due completions, fold the earliest
+        // remaining vault event into the wake cache, and drop the vaults left
+        // idle from the busy set. Idle vaults would fold in `Idle`, the
+        // neutral element, so skipping them leaves the fold exact.
         let mut vault_wake = NextWake::Idle;
-        for vault in &mut self.vaults {
-            if vault.has_queued() {
-                vault.tick(now);
-            }
-            if vault.next_completion_at().is_some_and(|at| at <= now) {
-                while let Some(resp) = vault.pop_response(now) {
-                    self.outbound.push_after(now, self.crossbar_latency, resp);
+        for (w, word) in self.busy.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let vault = &mut self.vaults[w * 64 + bit as usize];
+                if vault.has_queued() {
+                    vault.tick(now);
+                }
+                if vault.next_completion_at().is_some_and(|at| at <= now) {
+                    while let Some(resp) = vault.pop_response(now) {
+                        self.outbound.push_after(now, self.crossbar_latency, resp);
+                    }
+                }
+                vault_wake = vault_wake.min_with(vault.next_wake(now));
+                if vault.is_idle() {
+                    *word &= !(1 << bit);
                 }
             }
-            vault_wake = vault_wake.min_with(vault.next_wake(now));
         }
         self.vault_wake = vault_wake;
     }
 
     fn dispatch(&mut self, req: VaultRequest) {
         let v = self.vault_of(req.addr);
-        if !self.vaults[v].push(req) {
+        if self.vaults[v].push(req) {
+            self.busy[v / 64] |= 1 << (v % 64);
+        } else {
+            // A full queue means the vault is busy and its bit is already set.
             self.rejected += 1;
             self.retry.push(req);
         }
@@ -132,12 +153,13 @@ impl HmcCube {
         self.rejected
     }
 
-    /// Returns true if the cube has no queued or in-flight work.
+    /// Returns true if the cube has no queued or in-flight work. Reads the
+    /// busy set instead of probing every vault.
     pub fn is_idle(&self) -> bool {
         self.inbound.is_empty()
             && self.outbound.is_empty()
             && self.retry.is_empty()
-            && self.vaults.iter().all(Vault::is_idle)
+            && self.busy.iter().all(|&word| word == 0)
     }
 
     /// Number of vaults.
@@ -146,8 +168,9 @@ impl HmcCube {
     }
 
     /// Serializes the cube's dynamic state: every vault, both crossbar
-    /// queues, the retry list, and the rejection counter. The vault wake
-    /// cache is derived state and is recomputed by [`HmcCube::load_state`].
+    /// queues, the retry list, and the rejection counter. The busy set and
+    /// the vault wake cache are derived state and are recomputed by
+    /// [`HmcCube::load_state`].
     pub fn state_to_json(&self) -> Json {
         fn latency_queue<T>(queue: &LatencyQueue<T>, encode: impl Fn(&T) -> Json) -> Json {
             Json::Arr(
@@ -168,8 +191,9 @@ impl HmcCube {
     }
 
     /// Restores dynamic state onto a freshly constructed cube. `now` is the
-    /// resume cycle; the vault wake cache is recomputed by folding every
-    /// restored vault's next event, exactly as [`HmcCube::tick`] folds it.
+    /// resume cycle; the busy set is rebuilt from the restored vaults, and
+    /// the vault wake cache is recomputed by folding every restored vault's
+    /// next event, exactly as [`HmcCube::tick`] folds it.
     ///
     /// # Errors
     ///
@@ -203,8 +227,12 @@ impl HmcCube {
         }
         self.rejected = doc.req_u64("rejected")?;
         let mut vault_wake = NextWake::Idle;
-        for vault in &self.vaults {
+        self.busy.fill(0);
+        for (v, vault) in self.vaults.iter().enumerate() {
             vault_wake = vault_wake.min_with(vault.next_wake(now));
+            if !vault.is_idle() {
+                self.busy[v / 64] |= 1 << (v % 64);
+            }
         }
         self.vault_wake = vault_wake;
         Ok(())
@@ -362,6 +390,79 @@ mod tests {
         for i in 0..100u64 {
             let a = Addr::new(i * 64);
             assert_eq!(cube.vault_of(a), map.vault_of(a));
+        }
+    }
+
+    /// The full-scan definitions the busy set replaces: the cube is idle
+    /// exactly when both crossbar queues and the retry list are empty and
+    /// every vault is idle, and its next wake is the fold of every vault's
+    /// next event plus the retry list and both crossbar queues.
+    fn assert_busy_set_matches_full_scan(cube: &HmcCube, now: Cycle) {
+        let scan_idle = cube.inbound.is_empty()
+            && cube.outbound.is_empty()
+            && cube.retry.is_empty()
+            && cube.vaults.iter().all(Vault::is_idle);
+        assert_eq!(cube.is_idle(), scan_idle, "is_idle disagrees with the full scan at {now}");
+        let mut scan_wake = cube
+            .vaults
+            .iter()
+            .fold(NextWake::Idle, |wake, vault| wake.min_with(Component::next_wake(vault, now)));
+        if !cube.retry.is_empty() {
+            scan_wake = scan_wake.min_with(NextWake::At(now + 1));
+        }
+        scan_wake =
+            scan_wake.min_opt(cube.inbound.next_ready_at()).min_opt(cube.outbound.next_ready_at());
+        assert_eq!(
+            cube.next_wake(now),
+            scan_wake,
+            "next_wake disagrees with the full scan at {now}"
+        );
+    }
+
+    fn random_traffic_keeps_busy_set_exact(vaults: usize, seed: u64) {
+        let cfg = HmcConfig { vaults, vault_queue_depth: 3, ..HmcConfig::default() };
+        let mut cube = HmcCube::new(CubeId::new(1), &cfg, 16);
+        let mut rng = ar_sim::SimRng::seed_from_u64(seed);
+        let mut pushed = 0u64;
+        let mut done = 0u64;
+        let mut t = 0;
+        while t < 4_000 || !cube.is_idle() {
+            // Bursty arrivals for the first stretch, then drain to idle.
+            if t < 4_000 && rng.chance(0.3) {
+                for _ in 0..rng.next_below(6) {
+                    // Half the requests hit vault 0, so its queue overflows.
+                    let block = if rng.chance(0.5) {
+                        rng.next_below(4) * vaults as u64
+                    } else {
+                        rng.next_below(1 << 20)
+                    };
+                    let req = if rng.chance(0.3) {
+                        VaultRequest::write(pushed, Addr::new(block * 64))
+                    } else {
+                        VaultRequest::read(pushed, Addr::new(block * 64))
+                    };
+                    cube.try_push(t, req).unwrap();
+                    pushed += 1;
+                }
+            }
+            cube.tick(t);
+            while cube.pop_response(t).is_some() {
+                done += 1;
+            }
+            assert_busy_set_matches_full_scan(&cube, t);
+            t += 1;
+            assert!(t < 200_000, "cube never drained");
+        }
+        assert!(pushed > 0);
+        assert_eq!(done, pushed, "every request must complete");
+        assert!(cube.vault_queue_rejections() > 0, "the hot vault must exercise retries");
+    }
+
+    #[test]
+    fn busy_set_tracks_the_full_scan() {
+        // The paper's 32 vaults fit one bit word; 70 vaults span two.
+        for (vaults, seed) in [(32, 1), (32, 2), (32, 3), (70, 4), (70, 5), (70, 6)] {
+            random_traffic_keeps_busy_set_exact(vaults, seed);
         }
     }
 

@@ -13,7 +13,7 @@ use ar_types::json::{Json, JsonError};
 use ar_types::packet::{ActiveKind, Packet, PacketKind};
 use ar_types::pool::{PacketPool, PacketRef};
 use ar_types::Cycle;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Aggregate traffic statistics of the memory network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,8 +97,11 @@ impl NetworkStats {
 /// packet's arrival in a future-event list, [`MemoryNetwork::tick`] only
 /// touches the links with arrivals due, and [`MemoryNetwork::next_wake`]
 /// reports the next arrival so the system driver can sleep until then.
-/// Links are kept in a `BTreeMap` so same-cycle processing order is
-/// deterministic.
+/// Links live in a dense table sorted by their `(from, to)` endpoints, and a
+/// first-hop table built once from [`DragonflyTopology::next_hop`] maps every
+/// `(node, destination)` pair to the index of its outgoing link, so a hop
+/// costs two array reads and the arrival calendar carries a 4-byte link
+/// index. An idle link is never visited.
 ///
 /// In-flight packets live in a [`PacketPool`]: a packet's bytes move into
 /// the pool once at [`MemoryNetwork::inject`] and out once when popped at
@@ -111,12 +114,19 @@ pub struct MemoryNetwork {
     topology: DragonflyTopology,
     /// Storage for every in-flight packet; the queues below hold handles.
     pool: PacketPool,
-    links: BTreeMap<(NetNode, NetNode), BandwidthLink<PacketRef>>,
+    /// Every directed link of the topology, sorted by `ends`.
+    links: Vec<BandwidthLink<PacketRef>>,
+    /// The `(from, to)` endpoints of `links[i]`, sorted ascending.
+    ends: Vec<(NetNode, NetNode)>,
+    /// First-hop table: `route[node_slot(from) * nodes + node_slot(to)]` is
+    /// the index into `links` of the link a packet at `from` bound for `to`
+    /// leaves on (`u32::MAX` on the diagonal, where nothing is sent).
+    route: Vec<u32>,
     delivered_cube: Vec<VecDeque<PacketRef>>,
     delivered_host: Vec<VecDeque<PacketRef>>,
-    /// Future-event list of packet arrivals, keyed by the link they arrive
-    /// on. One entry per in-flight packet.
-    arrivals: EventQueue<(NetNode, NetNode)>,
+    /// Future-event list of packet arrivals, keyed by the index of the link
+    /// they arrive on. One entry per in-flight packet.
+    arrivals: EventQueue<u32>,
     /// Packets sitting in a delivery queue, awaiting `pop_at_*`.
     delivered: usize,
     stats: NetworkStats,
@@ -128,9 +138,27 @@ impl MemoryNetwork {
     /// Builds the network for a topology with the given per-hop latency
     /// (router pipeline + wire) and per-link bandwidth.
     pub fn new(topology: DragonflyTopology, hop_latency: Cycle, link_bytes_per_cycle: u32) -> Self {
-        let mut links = BTreeMap::new();
-        for (a, b) in topology.directed_links() {
-            links.insert((a, b), BandwidthLink::new(hop_latency, link_bytes_per_cycle));
+        let mut ends = topology.directed_links();
+        ends.sort_unstable();
+        let links =
+            ends.iter().map(|_| BandwidthLink::new(hop_latency, link_bytes_per_cycle)).collect();
+        let nodes: Vec<NetNode> = (0..topology.cubes())
+            .map(|c| NetNode::Cube(CubeId::new(c)))
+            .chain((0..topology.host_ports()).map(|p| NetNode::Host(PortId::new(p))))
+            .collect();
+        let mut route = Vec::with_capacity(nodes.len() * nodes.len());
+        for &from in &nodes {
+            for &to in &nodes {
+                route.push(if from == to {
+                    u32::MAX
+                } else {
+                    let next = topology.next_hop(from, to);
+                    let link = ends
+                        .binary_search(&(from, next))
+                        .unwrap_or_else(|_| panic!("no link {from} -> {next}"));
+                    link as u32
+                });
+            }
         }
         let delivered_cube = (0..topology.cubes()).map(|_| VecDeque::new()).collect();
         let delivered_host = (0..topology.host_ports()).map(|_| VecDeque::new()).collect();
@@ -138,6 +166,8 @@ impl MemoryNetwork {
             topology,
             pool: PacketPool::new(),
             links,
+            ends,
+            route,
             delivered_cube,
             delivered_host,
             arrivals: EventQueue::new(),
@@ -156,6 +186,27 @@ impl MemoryNetwork {
     /// Aggregate statistics so far.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
+    }
+
+    /// Dense index of a node in the first-hop table: cubes first, then host
+    /// ports.
+    fn node_slot(&self, node: NetNode) -> usize {
+        match node {
+            NetNode::Cube(c) => c.index(),
+            NetNode::Host(p) => self.topology.cubes() + p.index(),
+        }
+    }
+
+    /// Index into `links` of the link a packet at `from` bound for `to`
+    /// leaves on. `from` must differ from `to`.
+    fn route_link(&self, from: NetNode, to: NetNode) -> usize {
+        let nodes = self.topology.cubes() + self.topology.host_ports();
+        self.route[self.node_slot(from) * nodes + self.node_slot(to)] as usize
+    }
+
+    /// Index into `links` of the link `from -> to`, if the topology has it.
+    fn link_index(&self, from: NetNode, to: NetNode) -> Option<usize> {
+        self.ends.binary_search(&(from, to)).ok()
     }
 
     fn classify(&mut self, packet: &Packet, bytes: u64) {
@@ -208,24 +259,22 @@ impl MemoryNetwork {
             self.deliver(now, r);
             return;
         }
-        let next = self.topology.next_hop(node, dst);
+        let link = self.route_link(node, dst);
         let bytes = self.pool.size_bytes(r);
         self.pool.get_mut(r).hops += 1;
         self.stats.bit_hops += u64::from(bytes) * 8;
-        let link =
-            self.links.get_mut(&(node, next)).unwrap_or_else(|| panic!("no link {node} -> {next}"));
-        let arrives_at = link.send(now, bytes, r);
-        self.arrivals.schedule(arrives_at, (node, next));
+        let arrives_at = self.links[link].send(now, bytes, r);
+        self.arrivals.schedule(arrives_at, link as u32);
     }
 
     /// Advances the network to `now`: packets whose arrival is due are
     /// forwarded to the next hop or delivered. Only links with due arrivals
     /// are visited, in arrival order (FIFO among same-cycle arrivals).
     pub fn tick(&mut self, now: Cycle) {
-        while let Some((_, key)) = self.arrivals.pop_due(now) {
-            let link = self.links.get_mut(&key).expect("scheduled link exists");
-            let r = link.pop_arrived(now).expect("one arrival per scheduled event");
-            self.process_at(now, key.1, r);
+        while let Some((_, link)) = self.arrivals.pop_due(now) {
+            let link = link as usize;
+            let r = self.links[link].pop_arrived(now).expect("one arrival per scheduled event");
+            self.process_at(now, self.ends[link].1, r);
         }
     }
 
@@ -249,21 +298,12 @@ impl MemoryNetwork {
         Some(self.pool.free(r))
     }
 
-    /// Removes and returns a cube's entire delivery queue in arrival order —
-    /// the per-shard inbox handed to the cube's tick job when cube shards
-    /// run on worker threads. Equivalent to calling
-    /// [`MemoryNetwork::pop_at_cube`] until it returns `None`.
-    pub fn take_at_cube(&mut self, cube: CubeId) -> VecDeque<Packet> {
-        let mut queue = VecDeque::new();
-        self.drain_at_cube_into(cube, &mut queue);
-        queue
-    }
-
     /// Drains a cube's delivery queue into `inbox` in arrival order, moving
-    /// each packet out of the pool. The allocation-free form of
-    /// [`MemoryNetwork::take_at_cube`] for a driver that recycles per-cube
-    /// inbox buffers every cycle: `inbox` keeps its spare capacity and the
-    /// pool recycles the slots.
+    /// each packet out of the pool — the per-shard inbox handed to the cube's
+    /// tick job. Equivalent to calling [`MemoryNetwork::pop_at_cube`] until it
+    /// returns `None`, but allocation-free for a caller that recycles
+    /// per-cube inbox buffers every cycle: `inbox` keeps its spare capacity
+    /// and the pool recycles the slots.
     pub fn drain_at_cube_into(&mut self, cube: CubeId, inbox: &mut VecDeque<Packet>) {
         let Self { pool, delivered_cube, delivered, .. } = self;
         let queue = &mut delivered_cube[cube.index()];
@@ -314,7 +354,7 @@ impl MemoryNetwork {
     pub fn host_port_queueing(&self, port: PortId) -> u64 {
         let node = NetNode::Host(port);
         let cube = NetNode::Cube(self.topology.host_cube(port));
-        self.links.get(&(node, cube)).map(BandwidthLink::queueing_cycles).unwrap_or(0)
+        self.link_index(node, cube).map_or(0, |l| self.links[l].queueing_cycles())
     }
 
     /// Per-hop latency the network was configured with.
@@ -334,8 +374,9 @@ impl MemoryNetwork {
     /// constructed network already has them.
     pub fn state_to_json(&self) -> Json {
         let links = self
-            .links
+            .ends
             .iter()
+            .zip(&self.links)
             .filter(|(_, link)| {
                 link.free_at() > 0
                     || link.in_flight() > 0
@@ -377,7 +418,8 @@ impl MemoryNetwork {
             .arrivals
             .state_entries()
             .into_iter()
-            .map(|(at, &(a, b))| {
+            .map(|(at, &link)| {
+                let (a, b) = self.ends[link as usize];
                 Json::obj([
                     ("at", Json::from(at)),
                     ("a", a.state_to_json()),
@@ -407,11 +449,13 @@ impl MemoryNetwork {
             Ok((NetNode::state_from_json(doc.req("a")?)?, NetNode::state_from_json(doc.req("b")?)?))
         }
         self.stats = NetworkStats::state_from_json(doc.req("stats")?)?;
+        let no_link = |(a, b): (NetNode, NetNode)| {
+            JsonError::state(format!("no link {a} -> {b} in this topology"))
+        };
         for entry in doc.req_array("links")? {
             let key = link_key(entry)?;
-            let link = self.links.get_mut(&key).ok_or_else(|| {
-                JsonError::state(format!("no link {} -> {} in this topology", key.0, key.1))
-            })?;
+            let l = self.link_index(key.0, key.1).ok_or_else(|| no_link(key))?;
+            let link = &mut self.links[l];
             link.restore_state(
                 entry.req_u64("free_at")?,
                 entry.req_u64("bytes_transferred")?,
@@ -461,18 +505,32 @@ impl MemoryNetwork {
             &mut self.delivered,
             "delivered_host",
         )?;
+        // Every arrival must name a link of this topology, and each link's
+        // arrivals (in pop order, which is arrival order per link) must be
+        // exactly its in-flight packets: otherwise `tick` would pop a link
+        // that has nothing in flight or strand a packet nothing wakes.
         self.arrivals = EventQueue::new();
         self.arrivals.restore_last_popped(doc.req_u64("arrivals_last_popped")?);
+        let mut unscheduled: Vec<_> =
+            self.links.iter().map(BandwidthLink::in_flight_entries).collect();
         for entry in doc.req_array("arrivals")? {
-            self.arrivals.schedule(entry.req_u64("at")?, link_key(entry)?);
+            let at = entry.req_u64("at")?;
+            let key = link_key(entry)?;
+            let l = self.link_index(key.0, key.1).ok_or_else(|| no_link(key))?;
+            if unscheduled[l].next().map(|(due, _)| due) != Some(at) {
+                return Err(JsonError::state(format!(
+                    "arrival at cycle {at} on link {} -> {} matches none of its in-flight packets",
+                    key.0, key.1
+                )));
+            }
+            self.arrivals.schedule(at, l as u32);
         }
-        if self.pool.live() != self.arrivals.len() + self.delivered {
-            return Err(JsonError::state(format!(
-                "checkpoint is inconsistent: {} pooled packets but {} arrivals + {} deliveries",
-                self.pool.live(),
-                self.arrivals.len(),
-                self.delivered
-            )));
+        for (&(a, b), rest) in self.ends.iter().zip(&mut unscheduled) {
+            if rest.next().is_some() {
+                return Err(JsonError::state(format!(
+                    "link {a} -> {b} has a packet in flight with no scheduled arrival"
+                )));
+            }
         }
         Ok(())
     }
@@ -612,8 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn take_at_cube_drains_the_whole_delivery_queue_in_order() {
+    fn drain_at_cube_into_drains_the_whole_delivery_queue_in_order() {
         let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 16);
+        // One packet still on a link, so the in-flight count is checked
+        // against something other than zero.
+        net.inject(0, read_req(9, 0, 5, 0));
         for id in 0..4 {
             // Zero-hop self-delivery lands in the queue immediately.
             let p = Packet::new(
@@ -626,10 +687,14 @@ mod tests {
             net.inject(0, p);
         }
         assert!(net.has_delivery_at_cube(CubeId::new(2)));
-        let inbox = net.take_at_cube(CubeId::new(2));
-        assert_eq!(inbox.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(net.in_flight(), 5);
+        let mut inbox = VecDeque::from([read_req(99, 0, 2, 0)]);
+        net.drain_at_cube_into(CubeId::new(2), &mut inbox);
+        assert_eq!(inbox.iter().map(|p| p.id).collect::<Vec<_>>(), vec![99, 0, 1, 2, 3]);
         assert!(!net.has_delivery_at_cube(CubeId::new(2)));
-        assert!(net.is_quiescent(), "taking the inbox must keep the in-flight count exact");
+        assert_eq!(net.in_flight(), 1, "draining the inbox must keep the in-flight count exact");
+        net.drain_at_cube_into(CubeId::new(2), &mut inbox);
+        assert_eq!(inbox.len(), 5, "an emptied queue drains nothing");
     }
 
     #[test]
@@ -698,6 +763,90 @@ mod tests {
         let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
         let err = restored.load_state(&doc).unwrap_err();
         assert!(err.to_string().contains("no link"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn load_state_rejects_arrivals_that_do_not_match_the_links() {
+        // One packet on the `host 0 -> cube 0` link. Each case moves its
+        // scheduled arrival onto another link (or drops it) in a snapshot
+        // and expects a decode error.
+        let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+        net.inject(0, read_req(1, 0, 9, 0));
+        let (cube5, cube6) = (NetNode::Cube(CubeId::new(5)), NetNode::Cube(CubeId::new(6)));
+        assert!(net.link_index(cube5, cube6).is_some_and(|l| net.links[l].is_idle()));
+        let cases = [
+            // A link the topology lacks.
+            (Some((NetNode::Host(PortId::new(1)), NetNode::Cube(CubeId::new(9)))), "no link host"),
+            // A real link with nothing in flight.
+            (Some((cube5, cube6)), "matches none"),
+            // No arrival at all: the in-flight packet would never be woken.
+            (None, "no scheduled arrival"),
+        ];
+        for (moved_to, expected) in cases {
+            let mut doc = net.state_to_json();
+            let Json::Obj(fields) = &mut doc else { panic!("network state is an object") };
+            let Some((_, Json::Arr(arrivals))) = fields.iter_mut().find(|(k, _)| k == "arrivals")
+            else {
+                panic!("arrivals is an array")
+            };
+            match moved_to {
+                Some((a, b)) => {
+                    let Json::Obj(first) = &mut arrivals[0] else { panic!("arrival is an object") };
+                    for (key, value) in first.iter_mut() {
+                        match key.as_str() {
+                            "a" => *value = a.state_to_json(),
+                            "b" => *value = b.state_to_json(),
+                            _ => {}
+                        }
+                    }
+                }
+                None => arrivals.clear(),
+            }
+            let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+            let err = restored.load_state(&doc).unwrap_err();
+            assert!(err.to_string().contains(expected), "expected {expected:?}, got: {err}");
+        }
+    }
+
+    /// Every `(from, to)` pair routes onto the link `from -> next_hop`, and
+    /// the link table is exactly the topology's sorted directed links.
+    fn assert_tables_match_topology(topology: DragonflyTopology) {
+        let net = MemoryNetwork::new(topology.clone(), 1, 16);
+        let mut expected = topology.directed_links();
+        expected.sort();
+        assert_eq!(net.ends, expected, "link table of {topology:?}");
+        assert_eq!(net.links.len(), expected.len());
+        let nodes: Vec<NetNode> = (0..topology.cubes())
+            .map(|c| NetNode::Cube(CubeId::new(c)))
+            .chain((0..topology.host_ports()).map(|p| NetNode::Host(PortId::new(p))))
+            .collect();
+        for &from in &nodes {
+            for &to in &nodes {
+                if from != to {
+                    let link = net.route_link(from, to);
+                    assert_eq!(
+                        net.ends[link],
+                        (from, topology.next_hop(from, to)),
+                        "route {from} -> {to} in {topology:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_hop_table_follows_next_hop_on_every_geometry() {
+        // The paper machine, the 160-cube scaled machine, and small ones.
+        assert_tables_match_topology(DragonflyTopology::paper());
+        let scaled = ar_types::config::SystemConfig::scaled().network;
+        assert_tables_match_topology(DragonflyTopology::new(
+            scaled.cubes,
+            scaled.groups,
+            scaled.host_ports,
+        ));
+        for (cubes, groups, ports) in [(1, 1, 1), (4, 2, 2), (6, 3, 1), (9, 3, 3), (8, 4, 4)] {
+            assert_tables_match_topology(DragonflyTopology::new(cubes, groups, ports));
+        }
     }
 
     #[test]

@@ -335,6 +335,10 @@ pub struct System {
     armq: Vec<SysKey>,
     /// One dirty flag per `SysKey` slot (see [`System::key_slot`]).
     arm_flags: Vec<bool>,
+    /// One flag per `SysKey` slot, set for the keys of the current event
+    /// kernel step's due list and cleared again when the step ends, so
+    /// "is this component due?" is one array read. All false between steps.
+    due_flags: Vec<bool>,
     /// Cores that have fully retired their stream. A core's done flag only
     /// flips during its own wake, so the counter is maintained in the cores
     /// phase and makes the cluster-activity check O(1).
@@ -546,6 +550,7 @@ impl System {
             retry_dram: Vec::new(),
             armq: Vec::new(),
             arm_flags: vec![false; slot_count],
+            due_flags: vec![false; slot_count],
             gather_results: Vec::new(),
             // Sized for the worst-case sample count up front, so the
             // sampler never reallocates mid-run (the zero-alloc steady-state
@@ -1323,7 +1328,14 @@ impl System {
         pool: Option<&mut WorkerPool>,
     ) {
         debug_assert!(self.armq.is_empty());
-        let is_due = |key: SysKey| due.is_none_or(|set| set.binary_search(&key).is_ok());
+        // Raise the due flags of this step's keys; the lock-step kernel
+        // (`due == None`) treats every key as due and leaves them alone.
+        let mut due_flags = std::mem::take(&mut self.due_flags);
+        for &key in due.unwrap_or_default() {
+            due_flags[Self::key_slot(key)] = true;
+        }
+        let flags = due.map(|_| &due_flags[..]);
+        let is_due = |key: SysKey| flags.is_none_or(|flags| flags[Self::key_slot(key)]);
         let ratio = self.cfg.core_cycles_per_network_cycle();
 
         // ------------------------------------------------------------------
@@ -1365,7 +1377,7 @@ impl System {
                 let dram_due = is_due(SysKey::Dram) || self.stimulated(SysKey::Dram);
                 self.step_dram(now, dram_due);
             }
-            Backend::Hmc(_) => self.step_hmc(now, due, hub, pool),
+            Backend::Hmc(_) => self.step_hmc(now, flags, hub, pool),
         }
 
         // ------------------------------------------------------------------
@@ -1399,6 +1411,10 @@ impl System {
         }
         touched.clear();
         self.armq = touched;
+        for &key in due.unwrap_or_default() {
+            due_flags[Self::key_slot(key)] = false;
+        }
+        self.due_flags = due_flags;
     }
 
     /// The normal cores phase of one network cycle: the per-core-cycle
@@ -1509,7 +1525,8 @@ impl System {
         }
     }
 
-    /// Dense index of a scheduling key into `arm_flags`.
+    /// Dense index of a scheduling key into `arm_flags`, `due_flags` and
+    /// `busy`.
     fn key_slot(key: SysKey) -> usize {
         match key {
             SysKey::Cores => 0,
@@ -2108,15 +2125,16 @@ impl System {
     /// cross-shard effect (purpose-map entries, traffic bytes, engine
     /// outputs, completions, stimuli) goes through a per-shard outbox merged
     /// in cube-index order at the sub-phase boundary, so the schedule of
-    /// observable effects is byte-identical to the serial kernel.
+    /// observable effects is byte-identical to the serial kernel. `due` holds
+    /// the step's due flags by key slot (`None`: lock-step, everything due).
     fn step_hmc(
         &mut self,
         now: Cycle,
-        due: Option<&[SysKey]>,
+        due: Option<&[bool]>,
         hub: &mut ObserverHub<'_>,
         mut pool: Option<&mut WorkerPool>,
     ) {
-        let is_due = |key: SysKey| due.is_none_or(|set| set.binary_search(&key).is_ok());
+        let is_due = |key: SysKey| due.is_none_or(|flags| flags[Self::key_slot(key)]);
         let ratio = self.cfg.core_cycles_per_network_cycle();
         let mut ctx = SchedCtx::new(now);
         // Split-borrow the backend once.
