@@ -911,7 +911,8 @@ impl ActiveRoutingEngine {
     ///
     /// Returns a [`JsonError`] when the document is malformed or inconsistent
     /// with this engine's configuration (the flow table and operand pool
-    /// perform their own validation).
+    /// perform their own validation), or when an outstanding read or ALU
+    /// operation names an operand slot the restored pool does not hold.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         self.flows.load_state(doc.req("flows")?)?;
         self.operands.load_state(doc.req("operands")?)?;
@@ -943,6 +944,20 @@ impl ActiveRoutingEngine {
                     slot: opt_index_from_json(entry, "slot")?,
                 },
             );
+        }
+        // The first commit or operand arrival indexes the operand pool with
+        // these slots, so each must name an entry the restored pool holds.
+        let local_slots = self.pending_reads.values().filter_map(|purpose| match purpose {
+            ReadPurpose::LocalOperand { slot, .. } => *slot,
+            ReadPurpose::RemoteOperand { .. } => None,
+        });
+        let alu_slots = self.alu_queue.state_entries().into_iter().filter_map(|(_, op)| op.slot);
+        if let Some(index) =
+            local_slots.chain(alu_slots).find(|&index| self.operands.get(index).is_none())
+        {
+            return Err(JsonError::state(format!(
+                "operand slot {index} is out of range or free in the restored operand pool"
+            )));
         }
         self.pending_output = AreOutput::state_from_json(doc.req("pending_output")?)?;
         self.next_access_id = doc.req_u64("next_access_id")?;
@@ -1010,6 +1025,17 @@ fn opt_f64_from_json(doc: &Json, key: &str) -> Result<Option<f64>, JsonError> {
         v => v.as_hex_f64().map(Some).ok_or_else(|| {
             JsonError::state(format!("field {key:?} is not an f64 bit pattern or null"))
         }),
+    }
+}
+
+/// Decodes an operand position, which [`OperandEntry::record`] only accepts
+/// as 0 or 1.
+///
+/// [`OperandEntry::record`]: crate::operand::OperandEntry::record
+fn which_from_json(doc: &Json) -> Result<u8, JsonError> {
+    match doc.req_u32("which")? {
+        which @ (0 | 1) => Ok(which as u8),
+        other => Err(JsonError::state(format!("operand position {other} is not 0 or 1"))),
     }
 }
 
@@ -1091,7 +1117,7 @@ impl ReadPurpose {
             "local" => Ok(ReadPurpose::LocalOperand {
                 ctx: UpdateContext::state_from_json(doc.req("ctx")?)?,
                 slot: opt_index_from_json(doc, "slot")?,
-                which: doc.req_u32("which")? as u8,
+                which: which_from_json(doc)?,
             }),
             "remote" => {
                 let slot = match doc.req("slot")? {
@@ -1105,7 +1131,7 @@ impl ReadPurpose {
                     requester: NetNode::state_from_json(doc.req("requester")?)?,
                     flow: FlowId::state_from_json(doc.req("flow")?)?,
                     slot,
-                    which: doc.req_u32("which")? as u8,
+                    which: which_from_json(doc)?,
                     update_id: doc.req_hex_u64("update_id")?,
                     op: op_from_json(doc, "op")?,
                 })
@@ -1702,6 +1728,12 @@ mod tests {
         assert!(eng.is_quiescent() && restored.is_quiescent());
         // A forged tag must be rejected, never silently mis-restored.
         let hostile = Json::parse(&doc.render().replace("\"local\"", "\"teleport\"")).unwrap();
+        let mut fresh = ActiveRoutingEngine::new(CubeId::new(0), &cfg, topo(), map());
+        assert!(fresh.load_state(&hostile).is_err());
+        // So must an operand position `OperandEntry::record` cannot take.
+        let rendered = doc.render();
+        assert!(rendered.contains("\"which\":0"), "a pending read records its operand position");
+        let hostile = Json::parse(&rendered.replacen("\"which\":0", "\"which\":7", 1)).unwrap();
         let mut fresh = ActiveRoutingEngine::new(CubeId::new(0), &cfg, topo(), map());
         assert!(fresh.load_state(&hostile).is_err());
     }

@@ -135,6 +135,11 @@ impl OperandPool {
         }
     }
 
+    /// Reads a reserved entry (`None` if `index` is out of range or free).
+    pub fn get(&self, index: usize) -> Option<&OperandEntry> {
+        self.slots.get(index).and_then(Option::as_ref)
+    }
+
     /// Accesses a reserved entry.
     pub fn get_mut(&mut self, index: usize) -> Option<&mut OperandEntry> {
         self.slots.get_mut(index).and_then(Option::as_mut)

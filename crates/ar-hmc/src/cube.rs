@@ -1,11 +1,38 @@
 //! A whole memory cube: 32 vaults behind the intra-cube crossbar.
 
 use crate::vault::{Vault, VaultRequest, VaultResponse};
-use ar_sim::{Component, LatencyQueue, NextWake, SchedCtx};
+use ar_sim::{Component, EventFifo, NextWake, SchedCtx};
 use ar_types::addr::AddressMap;
 use ar_types::config::HmcConfig;
 use ar_types::json::{Json, JsonError};
 use ar_types::{Addr, CubeId, Cycle};
+
+/// Serializes one direction of the crossbar, front first.
+fn crossing_to_json<T>(queue: &EventFifo<T>, encode: impl Fn(&T) -> Json) -> Json {
+    let entry =
+        |(at, item): (Cycle, &T)| Json::obj([("at", Json::from(at)), ("item", encode(item))]);
+    Json::Arr(queue.entries().map(entry).collect())
+}
+
+/// Decodes the entries of [`crossing_to_json`]. A queue whose cycles
+/// decrease is rejected: its front would no longer be the next item to
+/// finish crossing.
+fn crossing_from_json<T>(
+    entries: &[Json],
+    decode: impl Fn(&Json) -> Result<T, JsonError>,
+) -> Result<EventFifo<T>, JsonError> {
+    let mut queue = EventFifo::new();
+    for entry in entries {
+        let at = entry.req_u64("at")?;
+        if queue.last_at().is_some_and(|last| last > at) {
+            return Err(JsonError::state(format!(
+                "crossbar entry at cycle {at} follows one at a later cycle"
+            )));
+        }
+        queue.schedule(at, decode(entry.req("item")?)?);
+    }
+    Ok(queue)
+}
 
 /// One HMC: the vaults of the cube plus the crossbar latency between the
 /// link I/O / ARE side and the vault controllers.
@@ -13,10 +40,12 @@ use ar_types::{Addr, CubeId, Cycle};
 pub struct HmcCube {
     id: CubeId,
     vaults: Vec<Vault>,
-    /// Requests crossing the crossbar towards a vault controller.
-    inbound: LatencyQueue<VaultRequest>,
+    /// Requests crossing the crossbar towards a vault controller. Every item
+    /// crosses in the same `crossbar_latency`, so the queue is in ready
+    /// order.
+    inbound: EventFifo<VaultRequest>,
     /// Responses crossing the crossbar back towards the link I/O / ARE.
-    outbound: LatencyQueue<VaultResponse>,
+    outbound: EventFifo<VaultResponse>,
     map: AddressMap,
     crossbar_latency: Cycle,
     /// Requests that found their vault queue full and are waiting to retry.
@@ -42,8 +71,8 @@ impl HmcCube {
         HmcCube {
             id,
             vaults: (0..cfg.vaults).map(|_| Vault::new(cfg)).collect(),
-            inbound: LatencyQueue::new(),
-            outbound: LatencyQueue::new(),
+            inbound: EventFifo::new(),
+            outbound: EventFifo::new(),
             map: AddressMap::new(network_cubes, cfg.vaults, cfg.banks_per_vault),
             crossbar_latency: cfg.crossbar_latency,
             retry: Vec::new(),
@@ -70,7 +99,7 @@ impl HmcCube {
     /// Never rejects at the crossbar (the crossbar has elastic buffering);
     /// the `Result` is kept for interface symmetry with the DRAM system.
     pub fn try_push(&mut self, now: Cycle, req: VaultRequest) -> Result<(), VaultRequest> {
-        self.inbound.push_after(now, self.crossbar_latency, req);
+        self.inbound.schedule(now.saturating_add(self.crossbar_latency), req);
         Ok(())
     }
 
@@ -90,7 +119,7 @@ impl HmcCube {
             }
         }
         // Move requests that finished crossing the crossbar into their vaults.
-        while let Some(req) = self.inbound.pop_ready(now) {
+        while let Some(req) = self.inbound.pop_due(now) {
             self.dispatch(req);
         }
         // Advance the busy vaults, collect due completions, fold the earliest
@@ -109,7 +138,7 @@ impl HmcCube {
                 }
                 if vault.next_completion_at().is_some_and(|at| at <= now) {
                     while let Some(resp) = vault.pop_response(now) {
-                        self.outbound.push_after(now, self.crossbar_latency, resp);
+                        self.outbound.schedule(now.saturating_add(self.crossbar_latency), resp);
                     }
                 }
                 vault_wake = vault_wake.min_with(vault.next_wake(now));
@@ -135,7 +164,7 @@ impl HmcCube {
     /// Removes one completed access that has crossed back over the crossbar
     /// by `now`.
     pub fn pop_response(&mut self, now: Cycle) -> Option<VaultResponse> {
-        self.outbound.pop_ready(now)
+        self.outbound.pop_due(now)
     }
 
     /// Total DRAM accesses served by this cube.
@@ -172,19 +201,10 @@ impl HmcCube {
     /// the vault wake cache are derived state and are recomputed by
     /// [`HmcCube::load_state`].
     pub fn state_to_json(&self) -> Json {
-        fn latency_queue<T>(queue: &LatencyQueue<T>, encode: impl Fn(&T) -> Json) -> Json {
-            Json::Arr(
-                queue
-                    .state_entries()
-                    .into_iter()
-                    .map(|(at, item)| Json::obj([("at", Json::from(at)), ("item", encode(item))]))
-                    .collect(),
-            )
-        }
         Json::obj([
             ("vaults", Json::Arr(self.vaults.iter().map(Vault::state_to_json).collect())),
-            ("inbound", latency_queue(&self.inbound, VaultRequest::state_to_json)),
-            ("outbound", latency_queue(&self.outbound, VaultResponse::state_to_json)),
+            ("inbound", crossing_to_json(&self.inbound, VaultRequest::state_to_json)),
+            ("outbound", crossing_to_json(&self.outbound, VaultResponse::state_to_json)),
             ("retry", Json::Arr(self.retry.iter().map(VaultRequest::state_to_json).collect())),
             ("rejected", Json::from(self.rejected)),
         ])
@@ -197,8 +217,9 @@ impl HmcCube {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] when the document is malformed or its vault
-    /// count disagrees with this cube's configuration.
+    /// Returns a [`JsonError`] when the document is malformed, its vault
+    /// count disagrees with this cube's configuration, or a crossbar queue's
+    /// cycles decrease.
     pub fn load_state(&mut self, now: Cycle, doc: &Json) -> Result<(), JsonError> {
         let vaults = doc.req_array("vaults")?;
         if vaults.len() != self.vaults.len() {
@@ -211,16 +232,10 @@ impl HmcCube {
         for (vault, entry) in self.vaults.iter_mut().zip(vaults) {
             vault.load_state(entry)?;
         }
-        self.inbound = LatencyQueue::new();
-        for entry in doc.req_array("inbound")? {
-            self.inbound
-                .push_at(entry.req_u64("at")?, VaultRequest::state_from_json(entry.req("item")?)?);
-        }
-        self.outbound = LatencyQueue::new();
-        for entry in doc.req_array("outbound")? {
-            self.outbound
-                .push_at(entry.req_u64("at")?, VaultResponse::state_from_json(entry.req("item")?)?);
-        }
+        self.inbound =
+            crossing_from_json(doc.req_array("inbound")?, VaultRequest::state_from_json)?;
+        self.outbound =
+            crossing_from_json(doc.req_array("outbound")?, VaultResponse::state_from_json)?;
         self.retry.clear();
         for entry in doc.req_array("retry")? {
             self.retry.push(VaultRequest::state_from_json(entry)?);
@@ -245,10 +260,10 @@ impl Component for HmcCube {
         if !self.retry.is_empty() {
             wake = wake.min_with(NextWake::At(now + 1));
         }
-        wake = wake.min_opt(self.inbound.next_ready_at());
+        wake = wake.min_opt(self.inbound.next_at());
         // The system pops crossed-back responses from `outbound`, so their
         // readiness is a wake-up of this cube too.
-        wake = wake.min_opt(self.outbound.next_ready_at());
+        wake = wake.min_opt(self.outbound.next_at());
         wake
     }
 
@@ -372,6 +387,29 @@ mod tests {
     }
 
     #[test]
+    fn load_state_rejects_crossbar_cycles_that_decrease() {
+        // Requests pushed at cycles 0 and 1 sit on the inbound crossbar in
+        // that order; a snapshot listing them the other way round would
+        // leave the later one at the front of the queue.
+        let cfg = HmcConfig::default();
+        let mut cube = HmcCube::new(CubeId::new(0), &cfg, 16);
+        cube.try_push(0, VaultRequest::read(1, Addr::new(0x40))).unwrap();
+        cube.try_push(1, VaultRequest::read(2, Addr::new(0x80))).unwrap();
+        let doc = cube.state_to_json();
+        let mut restored = HmcCube::new(CubeId::new(0), &cfg, 16);
+        restored.load_state(0, &doc).expect("the snapshot as written restores");
+        let mut swapped = doc;
+        let Json::Obj(fields) = &mut swapped else { panic!("cube state is an object") };
+        let Some((_, Json::Arr(inbound))) = fields.iter_mut().find(|(k, _)| k == "inbound") else {
+            panic!("inbound is an array")
+        };
+        assert_eq!(inbound.len(), 2);
+        inbound.swap(0, 1);
+        let err = restored.load_state(0, &swapped).unwrap_err();
+        assert!(err.to_string().contains("crossbar entry"), "unexpected error: {err}");
+    }
+
+    #[test]
     fn load_state_rejects_wrong_vault_count() {
         let cfg = HmcConfig::default();
         let cube = HmcCube::new(CubeId::new(0), &cfg, 16);
@@ -410,8 +448,7 @@ mod tests {
         if !cube.retry.is_empty() {
             scan_wake = scan_wake.min_with(NextWake::At(now + 1));
         }
-        scan_wake =
-            scan_wake.min_opt(cube.inbound.next_ready_at()).min_opt(cube.outbound.next_ready_at());
+        scan_wake = scan_wake.min_opt(cube.inbound.next_at()).min_opt(cube.outbound.next_at());
         assert_eq!(
             cube.next_wake(now),
             scan_wake,

@@ -7,13 +7,15 @@
 //! scheme lose to the forest schemes in the paper (Section 5.2.2).
 
 use crate::dragonfly::DragonflyTopology;
-use ar_sim::{BandwidthLink, Component, EventQueue, NextWake, SchedCtx};
+use ar_sim::{BandwidthLink, Component, NextWake, SchedCtx};
 use ar_types::ids::{CubeId, NetNode, PortId};
 use ar_types::json::{Json, JsonError};
 use ar_types::packet::{ActiveKind, Packet, PacketKind};
 use ar_types::pool::{PacketPool, PacketRef};
 use ar_types::Cycle;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Aggregate traffic statistics of the memory network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,18 +92,36 @@ impl NetworkStats {
     }
 }
 
+/// A packet on a link: its pool handle and its send order, which breaks ties
+/// between packets that arrive in the same cycle on different links.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    sent: u64,
+    packet: PacketRef,
+}
+
+/// One arrival-calendar entry: a busy link keyed by its head packet's
+/// `(arrival cycle, send order)`. Send orders are unique, so entries never
+/// tie.
+type Head = Reverse<(Cycle, u64, u32)>;
+
 /// The memory network: dragonfly topology + per-link channels + per-node
 /// delivery queues.
 ///
-/// The network is event-driven: every [`BandwidthLink::send`] schedules the
-/// packet's arrival in a future-event list, [`MemoryNetwork::tick`] only
-/// touches the links with arrivals due, and [`MemoryNetwork::next_wake`]
-/// reports the next arrival so the system driver can sleep until then.
-/// Links live in a dense table sorted by their `(from, to)` endpoints, and a
-/// first-hop table built once from [`DragonflyTopology::next_hop`] maps every
+/// The network is event-driven: [`MemoryNetwork::tick`] only touches the
+/// links with arrivals due, and [`MemoryNetwork::next_wake`] reports the
+/// next arrival so the system driver can sleep until then. Links live in a
+/// dense table sorted by their `(from, to)` endpoints, and a first-hop table
+/// built once from [`DragonflyTopology::next_hop`] maps every
 /// `(node, destination)` pair to the index of its outgoing link, so a hop
-/// costs two array reads and the arrival calendar carries a 4-byte link
-/// index. An idle link is never visited.
+/// costs two array reads. An idle link is never visited.
+///
+/// The arrival calendar holds one entry per *busy link*, not per packet.
+/// A link is an in-order FIFO whose packets are sent in increasing send
+/// order with non-decreasing arrival cycles, so its head is its earliest
+/// `(arrival, send order)` and the calendar of heads pops packets in exactly
+/// the global `(arrival, send order)` sequence a per-packet calendar would.
+/// Popping a head re-keys the link on its next packet in place.
 ///
 /// In-flight packets live in a [`PacketPool`]: a packet's bytes move into
 /// the pool once at [`MemoryNetwork::inject`] and out once when popped at
@@ -115,7 +135,7 @@ pub struct MemoryNetwork {
     /// Storage for every in-flight packet; the queues below hold handles.
     pool: PacketPool,
     /// Every directed link of the topology, sorted by `ends`.
-    links: Vec<BandwidthLink<PacketRef>>,
+    links: Vec<BandwidthLink<Flight>>,
     /// The `(from, to)` endpoints of `links[i]`, sorted ascending.
     ends: Vec<(NetNode, NetNode)>,
     /// First-hop table: `route[node_slot(from) * nodes + node_slot(to)]` is
@@ -124,9 +144,12 @@ pub struct MemoryNetwork {
     route: Vec<u32>,
     delivered_cube: Vec<VecDeque<PacketRef>>,
     delivered_host: Vec<VecDeque<PacketRef>>,
-    /// Future-event list of packet arrivals, keyed by the index of the link
-    /// they arrive on. One entry per in-flight packet.
-    arrivals: EventQueue<u32>,
+    /// The arrival calendar: one [`Head`] per busy link.
+    arrivals: BinaryHeap<Head>,
+    /// Send order of the next packet put on a link.
+    next_sent: u64,
+    /// Arrival cycle of the most recently popped packet.
+    last_arrival: Cycle,
     /// Packets sitting in a delivery queue, awaiting `pop_at_*`.
     delivered: usize,
     stats: NetworkStats,
@@ -170,7 +193,9 @@ impl MemoryNetwork {
             route,
             delivered_cube,
             delivered_host,
-            arrivals: EventQueue::new(),
+            arrivals: BinaryHeap::new(),
+            next_sent: 0,
+            last_arrival: 0,
             delivered: 0,
             stats: NetworkStats::default(),
             hop_latency,
@@ -263,18 +288,40 @@ impl MemoryNetwork {
         let bytes = self.pool.size_bytes(r);
         self.pool.get_mut(r).hops += 1;
         self.stats.bit_hops += u64::from(bytes) * 8;
-        let arrives_at = self.links[link].send(now, bytes, r);
-        self.arrivals.schedule(arrives_at, link as u32);
+        let sent = self.next_sent;
+        self.next_sent += 1;
+        let was_idle = self.links[link].is_idle();
+        let arrives_at = self.links[link].send(now, bytes, Flight { sent, packet: r });
+        if was_idle {
+            self.arrivals.push(Reverse((arrives_at, sent, link as u32)));
+        }
     }
 
     /// Advances the network to `now`: packets whose arrival is due are
     /// forwarded to the next hop or delivered. Only links with due arrivals
-    /// are visited, in arrival order (FIFO among same-cycle arrivals).
+    /// are visited, in `(arrival, send order)` order — FIFO among same-cycle
+    /// arrivals.
     pub fn tick(&mut self, now: Cycle) {
-        while let Some((_, link)) = self.arrivals.pop_due(now) {
-            let link = link as usize;
-            let r = self.links[link].pop_arrived(now).expect("one arrival per scheduled event");
-            self.process_at(now, self.ends[link].1, r);
+        loop {
+            let (at, link, packet) = {
+                let Some(mut head) = self.arrivals.peek_mut() else { break };
+                let Reverse((at, _, link)) = *head;
+                if at > now {
+                    break;
+                }
+                let l = link as usize;
+                let flight =
+                    self.links[l].pop_arrived(now).expect("a calendar head is an in-flight packet");
+                match self.links[l].in_flight_entries().next() {
+                    Some((next_at, next)) => *head = Reverse((next_at, next.sent, link)),
+                    None => {
+                        PeekMut::pop(head);
+                    }
+                }
+                (at, l, flight.packet)
+            };
+            self.last_arrival = at;
+            self.process_at(now, self.ends[link].1, packet);
         }
     }
 
@@ -325,12 +372,8 @@ impl MemoryNetwork {
     /// network (used to detect quiescence). The counts are tracked
     /// incrementally, so this is O(1).
     pub fn in_flight(&self) -> usize {
-        debug_assert_eq!(
-            self.pool.live(),
-            self.arrivals.len() + self.delivered,
-            "every pooled packet is on a link or in a delivery queue"
-        );
-        self.arrivals.len() + self.delivered
+        // Every pooled packet is on a link or in a delivery queue.
+        self.pool.live()
     }
 
     /// Peak number of simultaneously in-flight packets over the run — the
@@ -386,10 +429,10 @@ impl MemoryNetwork {
             .map(|(&(a, b), link)| {
                 let in_flight = link
                     .in_flight_entries()
-                    .map(|(at, &r)| {
+                    .map(|(at, flight)| {
                         Json::obj([
                             ("at", Json::from(at)),
-                            ("packet", self.pool.get(r).state_to_json()),
+                            ("packet", self.pool.get(flight.packet).state_to_json()),
                         ])
                     })
                     .collect();
@@ -414,12 +457,18 @@ impl MemoryNetwork {
                     .collect(),
             )
         };
-        let arrivals = self
-            .arrivals
-            .state_entries()
+        // Every in-flight packet in calendar pop order.
+        let mut pending: Vec<(Cycle, u64, usize)> = self
+            .links
+            .iter()
+            .enumerate()
+            .flat_map(|(l, link)| link.in_flight_entries().map(move |(at, f)| (at, f.sent, l)))
+            .collect();
+        pending.sort_unstable();
+        let arrivals = pending
             .into_iter()
-            .map(|(at, &link)| {
-                let (a, b) = self.ends[link as usize];
+            .map(|(at, _, link)| {
+                let (a, b) = self.ends[link];
                 Json::obj([
                     ("at", Json::from(at)),
                     ("a", a.state_to_json()),
@@ -432,7 +481,7 @@ impl MemoryNetwork {
             ("delivered_cube", deliveries(&self.delivered_cube)),
             ("delivered_host", deliveries(&self.delivered_host)),
             ("arrivals", Json::Arr(arrivals)),
-            ("arrivals_last_popped", Json::from(self.arrivals.last_popped())),
+            ("arrivals_last_popped", Json::from(self.last_arrival)),
             ("stats", self.stats.state_to_json()),
         ])
     }
@@ -442,8 +491,9 @@ impl MemoryNetwork {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] when the document is malformed or references a
-    /// link or node that does not exist in this network's topology.
+    /// Returns a [`JsonError`] when the document is malformed, references a
+    /// link or node that does not exist in this network's topology, or
+    /// describes arrivals no in-order link could hold.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         fn link_key(doc: &Json) -> Result<(NetNode, NetNode), JsonError> {
             Ok((NetNode::state_from_json(doc.req("a")?)?, NetNode::state_from_json(doc.req("b")?)?))
@@ -452,19 +502,29 @@ impl MemoryNetwork {
         let no_link = |(a, b): (NetNode, NetNode)| {
             JsonError::state(format!("no link {a} -> {b} in this topology"))
         };
+        // Each link's in-flight packets, oldest first. They join their link
+        // once the arrival calendar below has given each its send order.
+        let mut unscheduled: Vec<VecDeque<(Cycle, PacketRef)>> =
+            self.links.iter().map(|_| VecDeque::new()).collect();
         for entry in doc.req_array("links")? {
             let key = link_key(entry)?;
             let l = self.link_index(key.0, key.1).ok_or_else(|| no_link(key))?;
-            let link = &mut self.links[l];
-            link.restore_state(
+            self.links[l].restore_state(
                 entry.req_u64("free_at")?,
                 entry.req_u64("bytes_transferred")?,
                 entry.req_u64("packets_transferred")?,
                 entry.req_u64("queueing_cycles")?,
             );
             for flight in entry.req_array("in_flight")? {
+                let at = flight.req_u64("at")?;
+                if unscheduled[l].back().is_some_and(|&(prev, _)| prev > at) {
+                    return Err(JsonError::state(format!(
+                        "link {} -> {} delivers its in-flight packets out of order",
+                        key.0, key.1
+                    )));
+                }
                 let packet = Packet::state_from_json(flight.req("packet")?)?;
-                link.restore_in_flight(flight.req_u64("at")?, self.pool.alloc(packet));
+                unscheduled[l].push_back((at, self.pool.alloc(packet)));
             }
         }
         let restore_deliveries = |queues: &mut Vec<VecDeque<PacketRef>>,
@@ -505,33 +565,53 @@ impl MemoryNetwork {
             &mut self.delivered,
             "delivered_host",
         )?;
-        // Every arrival must name a link of this topology, and each link's
-        // arrivals (in pop order, which is arrival order per link) must be
-        // exactly its in-flight packets: otherwise `tick` would pop a link
-        // that has nothing in flight or strand a packet nothing wakes.
-        self.arrivals = EventQueue::new();
-        self.arrivals.restore_last_popped(doc.req_u64("arrivals_last_popped")?);
-        let mut unscheduled: Vec<_> =
-            self.links.iter().map(BandwidthLink::in_flight_entries).collect();
-        for entry in doc.req_array("arrivals")? {
+        // The calendar lists every in-flight packet in pop order; a packet's
+        // position is its send order. Each arrival must name a link of this
+        // topology, and each link's arrivals must be exactly its in-flight
+        // packets in order — otherwise `tick` would pop a link that has
+        // nothing in flight or strand a packet nothing wakes.
+        self.last_arrival = doc.req_u64("arrivals_last_popped")?;
+        let arrivals = doc.req_array("arrivals")?;
+        for (sent, entry) in (0u64..).zip(arrivals) {
             let at = entry.req_u64("at")?;
             let key = link_key(entry)?;
             let l = self.link_index(key.0, key.1).ok_or_else(|| no_link(key))?;
-            if unscheduled[l].next().map(|(due, _)| due) != Some(at) {
+            let packet = match unscheduled[l].pop_front() {
+                Some((due, packet)) if due == at => packet,
+                _ => {
+                    return Err(JsonError::state(format!(
+                        "arrival at cycle {at} on link {} -> {} matches none of its in-flight \
+                         packets",
+                        key.0, key.1
+                    )))
+                }
+            };
+            if at < self.last_arrival {
                 return Err(JsonError::state(format!(
-                    "arrival at cycle {at} on link {} -> {} matches none of its in-flight packets",
-                    key.0, key.1
+                    "arrival at cycle {at} on link {} -> {} precedes the last popped arrival \
+                     at cycle {}",
+                    key.0, key.1, self.last_arrival
                 )));
             }
-            self.arrivals.schedule(at, l as u32);
+            self.links[l].restore_in_flight(at, Flight { sent, packet });
         }
-        for (&(a, b), rest) in self.ends.iter().zip(&mut unscheduled) {
-            if rest.next().is_some() {
+        for (&(a, b), rest) in self.ends.iter().zip(&unscheduled) {
+            if !rest.is_empty() {
                 return Err(JsonError::state(format!(
                     "link {a} -> {b} has a packet in flight with no scheduled arrival"
                 )));
             }
         }
+        self.next_sent = arrivals.len() as u64;
+        self.arrivals = self
+            .links
+            .iter()
+            .enumerate()
+            .filter_map(|(l, link)| {
+                let (at, head) = link.in_flight_entries().next()?;
+                Some(Reverse((at, head.sent, l as u32)))
+            })
+            .collect();
         Ok(())
     }
 }
@@ -543,7 +623,7 @@ impl Component for MemoryNetwork {
         if self.delivered > 0 {
             NextWake::At(now + 1)
         } else {
-            NextWake::from_next(self.arrivals.next_at())
+            NextWake::from_next(self.arrivals.peek().map(|&Reverse((at, ..))| at))
         }
     }
 
@@ -805,6 +885,205 @@ mod tests {
             let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
             let err = restored.load_state(&doc).unwrap_err();
             assert!(err.to_string().contains(expected), "expected {expected:?}, got: {err}");
+        }
+    }
+
+    fn field_mut<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(fields) = doc else { panic!("{key}'s parent is an object") };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1
+    }
+
+    #[test]
+    fn load_state_rejects_arrivals_no_in_order_link_could_hold() {
+        // Two packets queue on the `host 0 -> cube 0` link. A link delivers
+        // in order and the calendar never pops into the past, so a snapshot
+        // whose link arrivals decrease, or whose arrival precedes the last
+        // popped one, cannot be restored.
+        let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+        net.inject(0, read_req(1, 0, 9, 0));
+        net.inject(0, read_req(2, 0, 9, 0));
+        let mut reordered = net.state_to_json();
+        let Json::Arr(links) = field_mut(&mut reordered, "links") else { panic!("an array") };
+        let Json::Arr(in_flight) = field_mut(&mut links[0], "in_flight") else {
+            panic!("an array")
+        };
+        assert_eq!(in_flight.len(), 2, "both packets queue on the first link");
+        in_flight.swap(0, 1);
+        let mut late = net.state_to_json();
+        *field_mut(&mut late, "arrivals_last_popped") = Json::from(1_000u64);
+        for (doc, expected) in [(reordered, "out of order"), (late, "precedes the last popped")] {
+            let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+            let err = restored.load_state(&doc).unwrap_err();
+            assert!(err.to_string().contains(expected), "expected {expected:?}, got: {err}");
+        }
+    }
+
+    /// The per-packet arrival calendar the per-link heads replace: every send
+    /// pushes its own `(arrival, send order, link)` entry into one global
+    /// heap. Routes with [`DragonflyTopology::next_hop`] directly, not with
+    /// the first-hop table.
+    struct PerPacketCalendar {
+        topology: DragonflyTopology,
+        ends: Vec<(NetNode, NetNode)>,
+        links: Vec<BandwidthLink<u64>>,
+        arrivals: BinaryHeap<Reverse<(Cycle, u64, usize)>>,
+        sent: u64,
+        /// Destination and wire size by packet id.
+        packets: std::collections::HashMap<u64, (NetNode, u32)>,
+        delivered: Vec<(NetNode, u64)>,
+        /// Cycles in which more than one packet arrived.
+        tied_cycles: u64,
+    }
+
+    impl PerPacketCalendar {
+        fn new(topology: DragonflyTopology, hop_latency: Cycle, bytes_per_cycle: u32) -> Self {
+            let mut ends = topology.directed_links();
+            ends.sort_unstable();
+            let links =
+                ends.iter().map(|_| BandwidthLink::new(hop_latency, bytes_per_cycle)).collect();
+            PerPacketCalendar {
+                topology,
+                ends,
+                links,
+                arrivals: BinaryHeap::new(),
+                sent: 0,
+                packets: Default::default(),
+                delivered: Vec::new(),
+                tied_cycles: 0,
+            }
+        }
+
+        fn inject(&mut self, now: Cycle, packet: &Packet) {
+            self.packets.insert(packet.id, (packet.dst, packet.size_bytes()));
+            self.process_at(now, packet.src, packet.id);
+        }
+
+        fn process_at(&mut self, now: Cycle, node: NetNode, id: u64) {
+            let (dst, bytes) = self.packets[&id];
+            if node == dst {
+                self.delivered.push((node, id));
+                return;
+            }
+            let next = self.topology.next_hop(node, dst);
+            let link = self.ends.binary_search(&(node, next)).expect("a topology link");
+            let at = self.links[link].send(now, bytes, id);
+            self.arrivals.push(Reverse((at, self.sent, link)));
+            self.sent += 1;
+        }
+
+        fn tick(&mut self, now: Cycle) {
+            let mut popped = 0;
+            while let Some(&Reverse((at, _, link))) = self.arrivals.peek() {
+                if at > now {
+                    break;
+                }
+                self.arrivals.pop();
+                popped += 1;
+                let id = self.links[link].pop_arrived(now).expect("one arrival per entry");
+                self.process_at(now, self.ends[link].1, id);
+            }
+            self.tied_cycles += u64::from(popped > 1);
+        }
+
+        /// Every in-flight packet as `(link, arrival, id)`, link by link.
+        fn on_links(&self) -> Vec<(usize, Cycle, u64)> {
+            let per_link = self.links.iter().enumerate();
+            per_link
+                .flat_map(|(l, link)| link.in_flight_entries().map(move |(at, &id)| (l, at, id)))
+                .collect()
+        }
+    }
+
+    fn on_links(net: &MemoryNetwork) -> Vec<(usize, Cycle, u64)> {
+        let per_link = net.links.iter().enumerate();
+        per_link
+            .flat_map(|(l, link)| {
+                link.in_flight_entries().map(move |(at, f)| (l, at, net.pool.get(f.packet).id))
+            })
+            .collect()
+    }
+
+    /// Drives random traffic through `net` and the per-packet reference side
+    /// by side. After every cycle each link must hold the same packets with
+    /// the same arrival cycles — a hop taken in another order would queue
+    /// differently — and every node must have received the same packets in
+    /// the same order. Halfway through, `net` is replaced by its own
+    /// `state_to_json`/`load_state` round trip. Returns the number of cycles
+    /// in which several packets arrived, i.e. the send-order tie-break
+    /// decided the order.
+    fn assert_calendar_matches_per_packet_order(topology: DragonflyTopology, seed: u64) -> u64 {
+        let (hop_latency, bandwidth) = (2, 8);
+        let mut net = MemoryNetwork::new(topology.clone(), hop_latency, bandwidth);
+        let mut reference = PerPacketCalendar::new(topology.clone(), hop_latency, bandwidth);
+        let nodes: Vec<NetNode> = (0..topology.cubes())
+            .map(|c| NetNode::Cube(CubeId::new(c)))
+            .chain((0..topology.host_ports()).map(|p| NetNode::Host(PortId::new(p))))
+            .collect();
+        let mut rng = ar_sim::SimRng::seed_from_u64(seed);
+        let (inject_until, snap_at) = (300, 150);
+        let mut id = 0u64;
+        let mut t = 0;
+        while t < inject_until || !net.is_quiescent() {
+            net.tick(t);
+            reference.tick(t);
+            let mut expected = std::mem::take(&mut reference.delivered);
+            expected.sort_by_key(|&(node, _)| net.node_slot(node));
+            let mut got = Vec::new();
+            for &node in &nodes {
+                let pop = |net: &mut MemoryNetwork| match node {
+                    NetNode::Cube(c) => net.pop_at_cube(c),
+                    NetNode::Host(p) => net.pop_at_host(p),
+                };
+                while let Some(packet) = pop(&mut net) {
+                    assert_eq!(packet.dst, node, "delivered to the wrong node");
+                    got.push((node, packet.id));
+                }
+            }
+            assert_eq!(got, expected, "deliveries diverged at cycle {t} ({topology:?})");
+            if t < inject_until && rng.chance(0.6) {
+                for _ in 0..1 + rng.next_below(8) {
+                    let (src, dst) = (nodes[rng.index(nodes.len())], nodes[rng.index(nodes.len())]);
+                    let addr = Addr::new(rng.next_below(1 << 20) * 64);
+                    let kind = match rng.next_below(3) {
+                        0 => PacketKind::ReadReq { req_id: id, addr },
+                        1 => PacketKind::ReadResp { req_id: id, addr },
+                        _ => PacketKind::WriteReq { req_id: id, addr },
+                    };
+                    let packet = Packet::new(id, src, dst, kind, t);
+                    reference.inject(t, &packet);
+                    net.inject(t, packet);
+                    id += 1;
+                }
+            }
+            assert_eq!(on_links(&net), reference.on_links(), "links diverged at cycle {t}");
+            let head = net.arrivals.peek().map(|&Reverse((at, ..))| at);
+            let reference_head = reference.arrivals.peek().map(|&Reverse((at, ..))| at);
+            assert_eq!(head, reference_head, "next arrival diverged at cycle {t}");
+            if t == snap_at {
+                let doc = Json::parse(&net.state_to_json().render()).unwrap();
+                net = MemoryNetwork::new(topology.clone(), hop_latency, bandwidth);
+                net.load_state(&doc).unwrap();
+            }
+            t += 1;
+            assert!(t < 100_000, "the network never drained");
+        }
+        assert!(reference.arrivals.is_empty(), "the reference must drain with the network");
+        assert_eq!(net.stats().packets_delivered, id);
+        reference.tied_cycles
+    }
+
+    #[test]
+    fn per_link_heads_pop_in_per_packet_calendar_order() {
+        let ties = assert_calendar_matches_per_packet_order(DragonflyTopology::paper(), 1);
+        assert!(ties > 0, "no two packets ever arrived in the same cycle");
+        let scaled = ar_types::config::SystemConfig::scaled().network;
+        let scaled = DragonflyTopology::new(scaled.cubes, scaled.groups, scaled.host_ports);
+        assert!(assert_calendar_matches_per_packet_order(scaled, 2) > 0);
+        for (seed, (cubes, groups, ports)) in (3..).zip([(1, 1, 1), (4, 2, 2), (9, 3, 3)]) {
+            assert_calendar_matches_per_packet_order(
+                DragonflyTopology::new(cubes, groups, ports),
+                seed,
+            );
         }
     }
 

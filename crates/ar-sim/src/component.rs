@@ -4,9 +4,9 @@
 //! engine, DRAM channel and HMC vault was ticked on every cycle, so almost
 //! all wall-clock time went into visiting components with nothing to do. The
 //! types in this module invert that relationship: a [`Component`] *requests*
-//! the next cycle at which it has internal work ([`NextWake`]), a
-//! [`Scheduler`] keeps the calendar of those requests, and the system driver
-//! only wakes components that are due.
+//! the next cycle at which it has internal work ([`NextWake`]), the system
+//! driver keeps those requests in a [`WakeTable`], and it only wakes
+//! components that are due.
 //!
 //! # Contract
 //!
@@ -22,7 +22,7 @@
 //!    scheduled strictly before `t`; after `NextWake::Idle` it must be inert
 //!    until externally stimulated (a push, an injected packet, a delivered
 //!    completion). Whoever stimulates a sleeping component is responsible for
-//!    re-arming it in the scheduler.
+//!    re-arming it in the driver's calendar.
 //!
 //! Under these rules, skipping a cycle in which no component is due is
 //! exactly equivalent to simulating it — which is what
@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use ar_sim::{Component, NextWake, SchedCtx, Scheduler};
+//! use ar_sim::{Component, NextWake, SchedCtx};
 //! use ar_types::Cycle;
 //!
 //! /// A timer that fires once, `delay` cycles after being armed.
@@ -55,24 +55,19 @@
 //! }
 //!
 //! let mut timer = Timer { fire_at: Some(7), fired: 0 };
-//! let mut sched: Scheduler<&'static str> = Scheduler::new();
-//! sched.schedule_next(timer.next_wake(0), "timer");
-//! assert_eq!(sched.next_cycle(), Some(7));
-//! let due = sched.pop_due(7);
-//! assert!(due.contains("timer"));
+//! // A driver sleeps until the requested cycle, then wakes the component.
+//! assert_eq!(timer.next_wake(0), NextWake::At(7));
 //! let mut ctx = SchedCtx::new(7);
 //! assert_eq!(timer.wake(7, &mut ctx), NextWake::Idle);
 //! assert_eq!(timer.fired, 1);
 //! ```
 
-use crate::events::EventQueue;
 use ar_types::Cycle;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// When a component next has internal work to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextWake {
-    /// Wake the component at the given cycle (the scheduler clamps requests
+    /// Wake the component at the given cycle (the driver clamps requests
     /// that are already in the past to the next processed cycle).
     At(Cycle),
     /// The component has no internal work: it sleeps until an external
@@ -123,8 +118,7 @@ impl NextWake {
 ///
 /// Currently it only carries the cycle being processed; it exists as the
 /// extension point for driver-mediated services a component may need
-/// mid-wake (e.g. cross-shard wake requests once scheduling is sharded —
-/// see the ROADMAP), without having to change every `wake` signature.
+/// mid-wake, without having to change every `wake` signature.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedCtx {
     now: Cycle,
@@ -155,163 +149,79 @@ pub trait Component {
     fn wake(&mut self, now: Cycle, ctx: &mut SchedCtx) -> NextWake;
 }
 
-/// The wake-up calendar of a set of components identified by `K`.
+/// The value of a slot with no pending wake-up.
+const NONE: Cycle = Cycle::MAX;
+
+/// A driver's wake-up calendar: one pending cycle per dense key slot,
+/// min-merged when a key is scheduled again.
 ///
-/// Scheduling is liberal by design: duplicate or spurious entries are cheap
-/// because [`Scheduler::pop_due`] deduplicates into a set and waking an idle
-/// component is a no-op. The correctness requirement is only that every cycle
-/// at which some component has due work carries at least one entry.
-///
-/// # Event-triggered wakes
-///
-/// Components that sleep on an external event (a blocked core waiting for a
-/// memory response, a drained vault waiting for nothing at all) return
-/// [`NextWake::Idle`] and leave the calendar entirely; whoever delivers the
-/// event re-arms them with [`Scheduler::wake`] (fire at the next processed
-/// cycle) or [`Scheduler::schedule`] (fire at a known future cycle). If an
-/// armed event becomes moot — the work was re-routed, the component was
-/// drained by another path — [`Scheduler::cancel`] drops every pending entry
-/// for the key without touching other keys.
+/// Keeping only a key's earliest request is exact under the [`Component`]
+/// contract. A later request is dropped only when the key comes due first,
+/// and the driver re-arms every due key from its fresh
+/// [`Component::next_wake`] in the same step. That fresh request already
+/// covers all of the key's pending work, so a wake at the dropped cycle
+/// would have been a spurious one — a no-op by the contract.
 #[derive(Debug)]
-pub struct Scheduler<K> {
-    queue: EventQueue<(K, u32)>,
-    /// Current wake-entry generation per key. [`Scheduler::cancel`] bumps a
-    /// key's generation; entries carrying an older generation are discarded
-    /// when they come due. Keys that were never cancelled are not stored
-    /// (generation 0).
-    generations: BTreeMap<K, u32>,
+pub struct WakeTable {
+    at: Vec<Cycle>,
+    /// The earliest pending cycle over all slots ([`NONE`] when empty).
+    next: Cycle,
 }
 
-impl<K: Ord + Copy> Default for Scheduler<K> {
-    fn default() -> Self {
-        Scheduler { queue: EventQueue::new(), generations: BTreeMap::new() }
-    }
-}
-
-impl<K: Ord + Copy> Scheduler<K> {
-    /// Creates an empty calendar.
-    pub fn new() -> Self {
-        Self::default()
+impl WakeTable {
+    /// A calendar of `slots` keys, none of them scheduled.
+    pub fn new(slots: usize) -> Self {
+        WakeTable { at: vec![NONE; slots], next: NONE }
     }
 
-    /// The current generation of `key` (0 until first cancelled).
-    fn generation(&self, key: K) -> u32 {
-        self.generations.get(&key).copied().unwrap_or(0)
+    /// Schedules a wake-up of `slot` at cycle `at`; the slot keeps the
+    /// earlier of this and any request still pending.
+    #[inline]
+    pub fn schedule(&mut self, slot: usize, at: Cycle) {
+        debug_assert!(at != NONE, "cycle {at} is reserved for an empty slot");
+        self.at[slot] = self.at[slot].min(at);
+        self.next = self.next.min(at);
     }
 
-    /// Schedules a wake-up of component `key` at cycle `at`.
-    pub fn schedule(&mut self, at: Cycle, key: K) {
-        let generation = self.generation(key);
-        self.queue.schedule(at, (key, generation));
-    }
-
-    /// Schedules a wake-up from a component's [`NextWake`] request
-    /// (`Idle` requests are dropped).
-    pub fn schedule_next(&mut self, wake: NextWake, key: K) {
+    /// Schedules a wake-up from a component's [`NextWake`] request (`Idle`
+    /// requests are dropped).
+    #[inline]
+    pub fn schedule_next(&mut self, slot: usize, wake: NextWake) {
         if let NextWake::At(at) = wake {
-            self.schedule(at, key);
+            self.schedule(slot, at);
         }
     }
 
-    /// Arms an *event-triggered* wake of `key`: the component is woken at the
-    /// next cycle the driver processes, whenever that is. This is how an
-    /// external stimulus re-arms a component that reported
-    /// [`NextWake::Idle`] without the stimulator having to know the clock.
-    ///
-    /// ```
-    /// use ar_sim::Scheduler;
-    ///
-    /// let mut sched: Scheduler<&str> = Scheduler::new();
-    /// let _ = sched.pop_due(41); // driver has processed up to cycle 41
-    /// sched.wake("vault");
-    /// assert!(sched.pop_due(42).contains("vault"));
-    /// ```
-    pub fn wake(&mut self, key: K) {
-        // Cycle 0 is clamped by the event queue to the last popped cycle, so
-        // the entry becomes due immediately without rewinding time.
-        self.schedule(0, key);
+    /// Arms an event-triggered wake of `slot`: it fires at the next cycle the
+    /// driver processes, whenever that is.
+    #[inline]
+    pub fn wake(&mut self, slot: usize) {
+        self.schedule(slot, 0);
     }
 
-    /// Cancels every pending wake-up of `key`.
-    ///
-    /// Cancellation is exact per key and lazy in implementation: the entries
-    /// stay queued but carry a stale generation and are dropped when they
-    /// come due, so cancelling is O(log n) rather than a heap rebuild. A
-    /// subsequent [`Scheduler::schedule`] / [`Scheduler::wake`] for the same
-    /// key starts a fresh generation and is unaffected by the cancellation.
-    ///
-    /// [`Scheduler::next_cycle`] stays conservative: it may still report the
-    /// cycle of a cancelled entry, in which case the driver pops an empty due
-    /// set and moves on — spurious wake cycles are harmless by the
-    /// [`Component`] contract.
-    ///
-    /// ```
-    /// use ar_sim::Scheduler;
-    ///
-    /// let mut sched: Scheduler<&str> = Scheduler::new();
-    /// sched.schedule(5, "core");
-    /// sched.schedule(9, "core");
-    /// sched.schedule(5, "dram");
-    /// sched.cancel("core");
-    /// assert_eq!(sched.pop_due(10).into_iter().collect::<Vec<_>>(), vec!["dram"]);
-    /// sched.schedule(12, "core"); // re-arming after cancel works
-    /// assert!(sched.pop_due(12).contains("core"));
-    /// ```
-    pub fn cancel(&mut self, key: K) {
-        *self.generations.entry(key).or_insert(0) += 1;
-    }
-
-    /// The earliest cycle with a scheduled wake-up. Conservative: the entry
-    /// may have been cancelled, in which case popping that cycle yields no
-    /// due components.
+    /// The earliest pending wake-up, if any. The driver processes
+    /// `max(next_cycle, now + 1)` next, so a request for a cycle already
+    /// processed fires at the next one.
+    #[inline]
     pub fn next_cycle(&self) -> Option<Cycle> {
-        self.queue.next_at()
+        (self.next != NONE).then_some(self.next)
     }
 
-    /// Removes every wake-up scheduled at or before `now` and returns the
-    /// (deduplicated) set of components to wake. Cancelled entries are
-    /// dropped silently.
-    pub fn pop_due(&mut self, now: Cycle) -> BTreeSet<K> {
-        let mut due = BTreeSet::new();
-        while let Some((_, (key, generation))) = self.queue.pop_due(now) {
-            if generation == self.generation(key) {
-                due.insert(key);
+    /// Overwrites `due` with one flag per slot — set for every slot whose
+    /// wake-up is at or before `now` — and removes those wake-ups.
+    #[inline]
+    pub fn pop_due_into(&mut self, now: Cycle, due: &mut [bool]) {
+        debug_assert_eq!(due.len(), self.at.len(), "one due flag per slot");
+        let mut next = NONE;
+        for (at, due) in self.at.iter_mut().zip(due) {
+            *due = *at <= now;
+            if *due {
+                *at = NONE;
+            } else {
+                next = next.min(*at);
             }
         }
-        due
-    }
-
-    /// Allocation-free variant of [`Scheduler::pop_due`] for the hot driver
-    /// loop: fills `due` with the sorted, deduplicated keys scheduled at or
-    /// before `now` (clearing it first). Cancelled entries are dropped
-    /// silently.
-    pub fn pop_due_into(&mut self, now: Cycle, due: &mut Vec<K>) {
-        due.clear();
-        self.pop_due_append(now, due);
-        due.sort_unstable();
-        due.dedup();
-    }
-
-    /// Appends the raw due keys (unsorted, undeduplicated) to `due` without
-    /// clearing it — the building block the sharded calendar's cross-shard
-    /// merge is made of.
-    pub(crate) fn pop_due_append(&mut self, now: Cycle, due: &mut Vec<K>) {
-        while let Some((_, (key, generation))) = self.queue.pop_due(now) {
-            if generation == self.generation(key) {
-                due.push(key);
-            }
-        }
-    }
-
-    /// Number of scheduled wake-ups (duplicates and cancelled entries
-    /// included).
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Returns true if no wake-ups are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.next = next;
     }
 }
 
@@ -363,95 +273,18 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_pops_due_keys_deduplicated() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(5, 1);
-        sched.schedule(5, 1); // duplicate
-        sched.schedule(5, 2);
-        sched.schedule(9, 3);
-        assert_eq!(sched.next_cycle(), Some(5));
-        let due = sched.pop_due(5);
-        assert_eq!(due.into_iter().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(sched.next_cycle(), Some(9));
-        assert!(sched.pop_due(8).is_empty());
-        assert!(!sched.is_empty());
-        assert_eq!(sched.pop_due(100).len(), 1);
-        assert!(sched.is_empty());
-    }
-
-    #[test]
-    fn wake_fires_at_the_next_processed_cycle() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(7, 1);
-        assert!(sched.pop_due(7).contains(&1));
-        // Event-triggered wake after the clock reached 7: due immediately.
-        sched.wake(2);
-        assert_eq!(sched.next_cycle(), Some(7));
-        assert!(sched.pop_due(7).contains(&2));
-    }
-
-    #[test]
-    fn cancel_drops_only_the_cancelled_key() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(3, 1);
-        sched.schedule(3, 1);
-        sched.schedule(3, 2);
-        sched.schedule(8, 1);
-        sched.cancel(1);
-        assert_eq!(sched.pop_due(3).into_iter().collect::<Vec<_>>(), vec![2]);
-        assert!(sched.pop_due(8).is_empty(), "the later entry of key 1 is cancelled too");
-        // Re-arming after a cancel starts a fresh generation.
-        sched.schedule(9, 1);
-        assert!(sched.pop_due(9).contains(&1));
-        // Cancelling twice and interleaving schedules keeps keys precise.
-        sched.schedule(12, 1);
-        sched.cancel(1);
-        sched.cancel(1);
-        sched.schedule(12, 2);
-        let due = sched.pop_due(12);
-        assert!(!due.contains(&1));
-        assert!(due.contains(&2));
-    }
-
-    #[test]
-    fn cancelled_entries_are_dropped_by_pop_due_into() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(4, 5);
-        sched.schedule(4, 6);
-        sched.cancel(5);
-        let mut due = Vec::new();
-        sched.pop_due_into(4, &mut due);
-        assert_eq!(due, vec![6]);
-    }
-
-    #[test]
-    fn idle_requests_are_not_scheduled() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule_next(NextWake::Idle, 1);
-        assert!(sched.is_empty());
-        sched.schedule_next(NextWake::At(3), 1);
-        assert_eq!(sched.len(), 1);
-    }
-
-    #[test]
     fn component_wake_and_rearm_cycle() {
         // Drive a Worker exactly the way the system driver does: wake it only
         // when due, re-arm from its NextWake, re-arm on external stimulus.
         let mut worker = Worker { remaining: 2, work_done: 0 };
-        let mut sched: Scheduler<&'static str> = Scheduler::new();
-        sched.schedule(0, "worker");
-
+        let mut pending = Some(0);
         let mut now = 0;
         let mut processed = Vec::new();
-        while let Some(next) = sched.next_cycle() {
+        while let Some(next) = pending.take() {
             now = next.max(now);
-            let due = sched.pop_due(now);
-            if due.contains("worker") {
-                processed.push(now);
-                let mut ctx = SchedCtx::new(now);
-                let wake = worker.wake(now, &mut ctx);
-                sched.schedule_next(wake, "worker");
-            }
+            processed.push(now);
+            let mut ctx = SchedCtx::new(now);
+            pending = worker.wake(now, &mut ctx).cycle();
         }
         // Two units of work, one per cycle, then idle: cycles 0 and 1 only.
         assert_eq!(processed, vec![0, 1]);
@@ -460,10 +293,7 @@ mod tests {
 
         // External stimulus: the caller must re-arm the sleeping component.
         worker.push(1);
-        sched.schedule_next(worker.next_wake(5), "worker");
-        assert_eq!(sched.next_cycle(), Some(6));
-        let due = sched.pop_due(6);
-        assert!(due.contains("worker"));
+        assert_eq!(worker.next_wake(5), NextWake::At(6));
         let mut ctx = SchedCtx::new(6);
         assert_eq!(worker.wake(6, &mut ctx), NextWake::Idle);
         assert_eq!(worker.work_done, 3);
@@ -475,5 +305,70 @@ mod tests {
         let mut ctx = SchedCtx::new(4);
         assert_eq!(worker.wake(4, &mut ctx), NextWake::Idle);
         assert_eq!(worker.work_done, 0);
+    }
+
+    fn pop(table: &mut WakeTable, now: Cycle) -> Vec<usize> {
+        let mut due = vec![false; table.at.len()];
+        table.pop_due_into(now, &mut due);
+        (0..due.len()).filter(|&slot| due[slot]).collect()
+    }
+
+    #[test]
+    fn scheduler_pops_due_keys_deduplicated() {
+        let mut table = WakeTable::new(4);
+        table.schedule(1, 9);
+        table.schedule(1, 5);
+        table.schedule(1, 5); // duplicate
+        table.schedule(1, 7);
+        table.schedule(2, 5);
+        table.schedule(3, 9);
+        assert_eq!(table.next_cycle(), Some(5));
+        assert!(pop(&mut table, 4).is_empty());
+        assert_eq!(pop(&mut table, 5), vec![1, 2], "a key is due once, at its earliest request");
+        assert_eq!(table.next_cycle(), Some(9));
+        assert!(pop(&mut table, 8).is_empty());
+        assert_eq!(pop(&mut table, 100), vec![3], "slot 1's later requests merged into cycle 5");
+        assert_eq!(table.next_cycle(), None);
+    }
+
+    #[test]
+    fn wake_fires_at_the_next_processed_cycle() {
+        let mut table = WakeTable::new(3);
+        table.schedule(0, 7);
+        assert_eq!(pop(&mut table, 7), vec![0]);
+        // An event-triggered wake after the clock reached 7: due at the next
+        // pop, whatever its cycle, and it pulls `next_cycle` below `now + 1`.
+        table.wake(2);
+        assert_eq!(table.next_cycle(), Some(0));
+        assert_eq!(pop(&mut table, 8), vec![2]);
+        // A request for a cycle already processed behaves the same.
+        table.schedule(1, 3);
+        assert_eq!(pop(&mut table, 9), vec![1]);
+    }
+
+    #[test]
+    fn next_cycle_after_a_pop_is_the_earliest_remaining_request() {
+        let mut table = WakeTable::new(5);
+        for (slot, at) in [(0, 12), (1, 4), (2, 30), (3, 4), (4, 20)] {
+            table.schedule(slot, at);
+        }
+        assert_eq!(pop(&mut table, 4), vec![1, 3]);
+        assert_eq!(table.next_cycle(), Some(12));
+        assert_eq!(pop(&mut table, 25), vec![0, 4]);
+        assert_eq!(table.next_cycle(), Some(30));
+        // Re-arming a popped slot during the step lowers it again.
+        table.schedule(0, 26);
+        assert_eq!(table.next_cycle(), Some(26));
+    }
+
+    #[test]
+    fn idle_requests_are_not_scheduled() {
+        let mut table = WakeTable::new(2);
+        table.schedule_next(1, NextWake::Idle);
+        assert_eq!(table.next_cycle(), None);
+        assert!(pop(&mut table, Cycle::MAX - 1).is_empty());
+        table.schedule_next(1, NextWake::At(3));
+        assert_eq!(table.next_cycle(), Some(3));
+        assert_eq!(pop(&mut table, 3), vec![1]);
     }
 }

@@ -1,22 +1,23 @@
 //! Simulation kernel for the Active-Routing reproduction.
 //!
 //! The full-system model in `ar-system` is event-driven: components request
-//! their next wake-up cycle through the [`component::Component`] trait and a
-//! [`component::Scheduler`] calendar, so only components with pending work
-//! are visited. This crate provides that scheduling layer plus the shared
-//! building blocks the components are made of:
+//! their next wake-up cycle through the [`component::Component`] trait, the
+//! system driver keeps one pending wake-up per component, and only
+//! components with pending work are visited. This crate provides that
+//! component contract plus the shared building blocks the components are
+//! made of:
 //!
-//! * [`component`] — the [`component::Component`] trait,
-//!   [`component::NextWake`] requests and the keyed
-//!   [`component::Scheduler`] driving the event loop;
-//! * [`shard`] — the [`shard::ShardedScheduler`] (per-shard wake calendars
-//!   with a deterministic merged pop) and the persistent
-//!   [`shard::WorkerPool`] that tick independent shards concurrently;
+//! * [`component`] — the [`component::Component`] trait, the
+//!   [`component::NextWake`] requests it answers with, and the
+//!   [`component::WakeTable`] a driver keeps them in;
+//! * [`events::EventFifo`] — events scheduled in cycle order, popped in
+//!   O(1) (constant-delay stages such as the HMC crossbar);
+//! * [`shard`] — the persistent [`shard::WorkerPool`] that ticks
+//!   independent shards (a cube with its engine) concurrently;
 //! * [`queue::LatencyQueue`] — items that become visible after a fixed or
-//!   per-item delay (pipelines, wire latency, DRAM access completion);
+//!   per-item delay (pipelines, DRAM access completion);
 //! * [`queue::BandwidthLink`] — a bandwidth-limited, in-order link that
 //!   charges serialization delay per byte;
-//! * [`events::EventQueue`] — the future-event list underlying the scheduler;
 //! * [`stats`] — counters, histograms and windowed time series used to build
 //!   every figure of the evaluation;
 //! * [`rng`] — a deterministic RNG facade so simulations are reproducible.
@@ -39,9 +40,9 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 
-pub use component::{Component, NextWake, SchedCtx, Scheduler};
-pub use events::EventQueue;
+pub use component::{Component, NextWake, SchedCtx, WakeTable};
+pub use events::EventFifo;
 pub use queue::{BandwidthLink, LatencyQueue};
 pub use rng::SimRng;
-pub use shard::{ShardedScheduler, WorkerPool};
+pub use shard::WorkerPool;
 pub use stats::{Counter, Histogram, Stats, TimeSeries};

@@ -1,45 +1,21 @@
-//! Sharded scheduling: per-shard wake calendars and a persistent worker
-//! pool for ticking independent shards of a system concurrently.
+//! A persistent worker pool for ticking independent shards of a system
+//! concurrently.
 //!
-//! The keyed [`Scheduler`] of the event-driven kernel is a
-//! single calendar: every component of the system shares one future-event
-//! list. [`ShardedScheduler`] partitions that calendar by a caller-supplied
-//! shard map — in the full system: the core cluster, the memory network, the
-//! DRAM backend, and one shard per HMC cube (the cube plus its per-cube
-//! Active-Routing engine) — so each shard owns its own wake calendar with
-//! local `schedule`/`wake`/`cancel`, and a driver can tick due shards on
-//! worker threads without the calendars becoming a point of contention.
-//!
-//! Determinism is preserved by construction:
-//!
-//! * [`ShardedScheduler::pop_due_into`] merges the due keys of every shard
-//!   into one sorted, deduplicated list — exactly the list a single
-//!   [`Scheduler`] holding all keys would produce, so a
-//!   driver can swap calendars without changing which components it wakes;
-//! * [`WorkerPool::run`] executes one job per shard and *returns only when
-//!   every job has finished*, so all cross-shard effects a job records in its
-//!   per-shard outbox can be applied serially, in fixed shard-index order, at
-//!   the phase boundary. Results are independent of the worker count because
-//!   jobs only touch their own shard and their own outbox.
+//! In the full system a *shard* is one HMC cube together with its
+//! Active-Routing engine. Within a cycle the kernel runs one tick job per
+//! participating cube shard, and determinism is preserved by construction:
+//! [`WorkerPool::run`] executes one job per shard and *returns only when
+//! every job has finished*, so all cross-shard effects a job records in its
+//! per-shard outbox can be applied serially, in fixed shard-index order, at
+//! the phase boundary. Results are independent of the worker count because
+//! jobs only touch their own shard and their own outbox.
 //!
 //! # Example
 //!
 //! ```
-//! use ar_sim::{ShardedScheduler, WorkerPool};
+//! use ar_sim::WorkerPool;
 //!
-//! // Keys 0..8, partitioned into two shards (even / odd).
-//! let mut sched: ShardedScheduler<u32> = ShardedScheduler::new(2, |k| (k % 2) as usize);
-//! sched.schedule(5, 0);
-//! sched.schedule(5, 3);
-//! sched.schedule(9, 2);
-//! assert_eq!(sched.next_cycle(), Some(5));
-//!
-//! // The merged due list is sorted and deduplicated across shards.
-//! let mut due = Vec::new();
-//! sched.pop_due_into(5, &mut due);
-//! assert_eq!(due, vec![0, 3]);
-//!
-//! // Tick the due shards concurrently; each job mutates only its own slot.
+//! // Tick two shards concurrently; each job mutates only its own slot.
 //! let mut pool = WorkerPool::new(2);
 //! let mut outboxes = vec![Vec::new(); 2];
 //! pool.run(&mut outboxes, |shard, outbox| outbox.push(shard));
@@ -48,136 +24,10 @@
 //! assert_eq!(merged, vec![0, 1]);
 //! ```
 
-use crate::component::{NextWake, Scheduler};
-use ar_types::Cycle;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// A wake-up calendar partitioned into independent shards.
-///
-/// Each shard is a full [`Scheduler`] (with its own
-/// generation-based [`cancel`](ShardedScheduler::cancel) bookkeeping); keys
-/// are routed to shards by the map given at construction. The map must be
-/// stable — the same key must always land in the same shard — and must
-/// return indices below the shard count.
-pub struct ShardedScheduler<K> {
-    shards: Vec<Scheduler<K>>,
-    shard_of: Box<dyn Fn(K) -> usize + Send + Sync>,
-}
-
-impl<K: Ord + Copy> std::fmt::Debug for ShardedScheduler<K>
-where
-    K: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScheduler").field("shards", &self.shards).finish_non_exhaustive()
-    }
-}
-
-impl<K: Ord + Copy> ShardedScheduler<K> {
-    /// Creates a calendar with `shards` empty shards and the given key→shard
-    /// map.
-    pub fn new(shards: usize, shard_of: impl Fn(K) -> usize + Send + Sync + 'static) -> Self {
-        assert!(shards > 0, "a sharded scheduler needs at least one shard");
-        ShardedScheduler {
-            shards: (0..shards).map(|_| Scheduler::new()).collect(),
-            shard_of: Box::new(shard_of),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a key belongs to.
-    pub fn shard_of(&self, key: K) -> usize {
-        let shard = (self.shard_of)(key);
-        debug_assert!(
-            shard < self.shards.len(),
-            "shard map returned {shard} for a {}-shard calendar",
-            self.shards.len()
-        );
-        shard
-    }
-
-    /// Direct access to one shard's calendar, for a shard job that wants to
-    /// re-arm its own keys locally while ticking on a worker thread.
-    pub fn shard_mut(&mut self, shard: usize) -> &mut Scheduler<K> {
-        &mut self.shards[shard]
-    }
-
-    /// Schedules a wake-up of component `key` at cycle `at` in its shard's
-    /// calendar.
-    pub fn schedule(&mut self, at: Cycle, key: K) {
-        let shard = self.shard_of(key);
-        self.shards[shard].schedule(at, key);
-    }
-
-    /// Schedules a wake-up from a component's [`NextWake`] request
-    /// (`Idle` requests are dropped).
-    pub fn schedule_next(&mut self, wake: NextWake, key: K) {
-        if let NextWake::At(at) = wake {
-            self.schedule(at, key);
-        }
-    }
-
-    /// Arms an event-triggered wake of `key` in its shard (see
-    /// [`Scheduler::wake`]).
-    pub fn wake(&mut self, key: K) {
-        let shard = self.shard_of(key);
-        self.shards[shard].wake(key);
-    }
-
-    /// Cancels every pending wake-up of `key` — local to its shard, other
-    /// shards are untouched (see [`Scheduler::cancel`]).
-    pub fn cancel(&mut self, key: K) {
-        let shard = self.shard_of(key);
-        self.shards[shard].cancel(key);
-    }
-
-    /// The earliest cycle with a scheduled wake-up across all shards.
-    /// Conservative, like the unsharded calendar: the entry may have been
-    /// cancelled.
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        self.shards.iter().filter_map(Scheduler::next_cycle).min()
-    }
-
-    /// Removes every wake-up due at or before `now` from every shard and
-    /// returns the merged, deduplicated key set.
-    pub fn pop_due(&mut self, now: Cycle) -> BTreeSet<K> {
-        let mut due = Vec::new();
-        self.pop_due_into(now, &mut due);
-        due.into_iter().collect()
-    }
-
-    /// Allocation-free merged pop for the hot driver loop: fills `due` with
-    /// the sorted, deduplicated keys due at or before `now` across all
-    /// shards (clearing it first). Byte-identical to what a single
-    /// [`Scheduler`] holding every key would produce.
-    pub fn pop_due_into(&mut self, now: Cycle, due: &mut Vec<K>) {
-        due.clear();
-        for shard in &mut self.shards {
-            shard.pop_due_append(now, due);
-        }
-        due.sort_unstable();
-        due.dedup();
-    }
-
-    /// Total number of scheduled wake-ups over all shards (duplicates and
-    /// cancelled entries included).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(Scheduler::len).sum()
-    }
-
-    /// Returns true if no shard has a scheduled wake-up.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(Scheduler::is_empty)
-    }
-}
 
 /// A batch of indexed work published to the pool: `len` items, each executed
 /// by `call(data, index)` exactly once.
@@ -520,64 +370,6 @@ fn worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merged_pop_matches_a_single_scheduler() {
-        // Drive the same schedule/wake/cancel trace through one Scheduler and
-        // a 3-shard ShardedScheduler: every pop must yield the same keys.
-        let mut single: Scheduler<u32> = Scheduler::new();
-        let mut sharded: ShardedScheduler<u32> = ShardedScheduler::new(3, |k| (k % 3) as usize);
-        let trace: &[(Cycle, u32)] = &[(5, 0), (5, 7), (3, 2), (9, 4), (5, 7), (4, 9)];
-        for &(at, key) in trace {
-            single.schedule(at, key);
-            sharded.schedule(at, key);
-        }
-        single.cancel(7);
-        sharded.cancel(7);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for now in [3, 4, 5, 9] {
-            single.pop_due_into(now, &mut a);
-            sharded.pop_due_into(now, &mut b);
-            assert_eq!(a, b, "due sets diverged at cycle {now}");
-        }
-        // Event-triggered wakes after the clock advanced.
-        single.wake(7);
-        sharded.wake(7);
-        assert_eq!(single.pop_due(20), sharded.pop_due(20));
-        assert!(single.is_empty() && sharded.is_empty());
-    }
-
-    #[test]
-    fn next_cycle_is_the_minimum_over_shards() {
-        let mut sched: ShardedScheduler<u32> = ShardedScheduler::new(2, |k| (k % 2) as usize);
-        assert_eq!(sched.next_cycle(), None);
-        sched.schedule(9, 0);
-        sched.schedule(4, 1);
-        assert_eq!(sched.next_cycle(), Some(4));
-        assert_eq!(sched.len(), 2);
-        assert!(!sched.is_empty());
-    }
-
-    #[test]
-    fn cancel_is_local_to_the_keys_shard() {
-        let mut sched: ShardedScheduler<u32> = ShardedScheduler::new(2, |k| (k % 2) as usize);
-        sched.schedule(5, 2); // shard 0
-        sched.schedule(5, 3); // shard 1
-        sched.cancel(2);
-        let due = sched.pop_due(5);
-        assert!(!due.contains(&2));
-        assert!(due.contains(&3));
-    }
-
-    #[test]
-    fn shard_mut_exposes_the_local_calendar() {
-        let mut sched: ShardedScheduler<u32> = ShardedScheduler::new(2, |k| (k % 2) as usize);
-        assert_eq!(sched.shard_of(6), 0);
-        sched.shard_mut(0).schedule(7, 6);
-        assert_eq!(sched.next_cycle(), Some(7));
-        assert!(sched.pop_due(7).contains(&6));
-    }
 
     #[test]
     fn pool_runs_every_item_exactly_once() {

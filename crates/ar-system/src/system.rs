@@ -10,10 +10,11 @@
 //! Time advances through the [`ar_sim::Component`] layer: every top-level
 //! component (the core cluster, the memory network, each cube, each AR
 //! engine, the DRAM backend, the IPC sampler) is identified by a `SysKey`
-//! and registers its next wake-up cycle in an [`ar_sim::Scheduler`]. The
-//! driver in [`System::run`] only processes cycles at which some component is
-//! due and, within such a cycle, only wakes the due components — idle
-//! routers, vaults and engines cost nothing. Cores blocked on a memory
+//! and registers its next wake-up cycle in a dense [`ar_sim::WakeTable`]
+//! that holds one pending cycle per key. The driver in [`System::run`] only processes
+//! cycles at which some component is due and, within such a cycle, only
+//! wakes the due components — idle routers, vaults and engines cost
+//! nothing. Cores blocked on a memory
 //! response, gather result or barrier park (`ar_cpu::Core::is_parked`) and
 //! are skipped too; the whole cluster sleeps once every core is parked and
 //! is re-armed by the memory side when it delivers the unblocking event,
@@ -38,15 +39,14 @@
 use crate::drain::{self, CoreDrain, MAX_WINDOW_POPS, MIN_DRAIN_CYCLES};
 use crate::observer::{Observer, ObserverHub, RunInfo, Sample, SimEvent};
 use crate::report::{CubeActivity, DataMovement, LatencyBreakdown, SimReport, StallSummary};
+
 use active_routing::{ActiveRoutingEngine, AreOutput, HostOffloadController, HostOutput};
 use ar_cache::{AccessKind, CacheHierarchy, HitLevel};
 use ar_cpu::{Core, MemAccess, MemAccessKind, OffloadCommand, OffloadDrainOutcome};
 use ar_dram::{DramRequest, DramSystem};
 use ar_hmc::{HmcCube, VaultRequest};
 use ar_network::{DragonflyTopology, MemoryNetwork, MeshNoc};
-use ar_sim::{
-    Component, LatencyQueue, NextWake, SchedCtx, ShardedScheduler, TimeSeries, WorkerPool,
-};
+use ar_sim::{Component, LatencyQueue, NextWake, SchedCtx, TimeSeries, WakeTable, WorkerPool};
 use ar_types::addr::AddressMap;
 use ar_types::config::{MemoryMode, SystemConfig};
 use ar_types::error::ConfigError;
@@ -71,12 +71,9 @@ const IPC_WINDOW_CORE_CYCLES: u64 = 2048;
 /// calendar bookkeeping, and the intra-component skipping is handled by the
 /// component itself through its own [`Component::next_wake`] logic.
 ///
-/// Keys are grouped into *shards* for the sharded calendar and the parallel
-/// cube sub-phases (see [`SysKey::shard`]): the core cluster (with the IPC
-/// sampler), the DRAM backend, the memory network, and one shard per cube
-/// holding the cube and its Active-Routing engine — the two keys whose state
-/// a cube-shard tick job mutates together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A cube and its Active-Routing engine form one *cube shard*: the two keys
+/// whose state a tick job of the parallel cube sub-phases mutates together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SysKey {
     /// The core cluster: core pipelines, barrier release, MI drain.
     Cores,
@@ -91,22 +88,6 @@ enum SysKey {
     /// The windowed IPC sampler (keeps the Fig. 5.8 series cycle-exact even
     /// when the kernel skips over the sampling boundary).
     Ipc,
-}
-
-impl SysKey {
-    /// Shards below this index are the fixed singleton shards (cores + IPC
-    /// sampler, DRAM, network); cube shards follow, one per cube.
-    const FIXED_SHARDS: usize = 3;
-
-    /// The shard a key belongs to.
-    fn shard(self) -> usize {
-        match self {
-            SysKey::Cores | SysKey::Ipc => 0,
-            SysKey::Dram => 1,
-            SysKey::Network => 2,
-            SysKey::Cube(c) | SysKey::Engine(c) => Self::FIXED_SHARDS + c,
-        }
-    }
 }
 
 /// Cross-shard effects recorded by one cube shard's delivery/engine tick
@@ -329,15 +310,16 @@ pub struct System {
     /// DRAM requests that found a full channel queue and wait to be retried.
     retry_dram: Vec<(Cycle, u64, Addr, bool)>,
     /// Components stimulated during the current step, whose wake-up must be
-    /// re-armed in the scheduler before the step ends. Deduplicated on push
+    /// re-armed in the wake table before the step ends. Deduplicated on push
     /// through `arm_flags` (one slot per [`SysKey`]), so membership checks
     /// and the end-of-step sweep stay O(1) per key.
     armq: Vec<SysKey>,
     /// One dirty flag per `SysKey` slot (see [`System::key_slot`]).
     arm_flags: Vec<bool>,
-    /// One flag per `SysKey` slot, set for the keys of the current event
-    /// kernel step's due list and cleared again when the step ends, so
-    /// "is this component due?" is one array read. All false between steps.
+    /// One flag per `SysKey` slot, written by the wake table at the start of
+    /// every event-kernel step: set exactly for the keys due in that step, so
+    /// "is this component due?" is one array read. The lock-step kernel never
+    /// reads it.
     due_flags: Vec<bool>,
     /// Cores that have fully retired their stream. A core's done flag only
     /// flips during its own wake, so the counter is maintained in the cores
@@ -590,8 +572,7 @@ impl System {
     }
 
     /// Number of cubes the backend actually instantiated (0 for the DRAM
-    /// baseline) — the source of truth for the slot tables and the shard
-    /// count.
+    /// baseline) — the source of truth for the slot tables.
     fn backend_cube_count(backend: &Backend) -> usize {
         match backend {
             Backend::Dram(_) => 0,
@@ -777,29 +758,26 @@ impl System {
             return (self.report_cycle.min(max_cycles), self.prefix_completed);
         }
         let start = self.resume_cycle;
-        // The calendar is sharded by `SysKey::shard` (cores | dram | network
-        // | per-cube); its merged pop yields the same sorted due sets a
-        // single calendar would, so both kernels run on it unchanged.
-        let shard_count = SysKey::FIXED_SHARDS + Self::backend_cube_count(&self.backend);
-        let mut sched: ShardedScheduler<SysKey> = ShardedScheduler::new(shard_count, SysKey::shard);
-        sched.wake(SysKey::Cores);
+        let mut wakes = WakeTable::new(self.due_flags.len());
+        wakes.wake(Self::key_slot(SysKey::Cores));
         // `next_ipc_boundary` of the cycle *before* the resume point: for a
         // fresh run this is `next_ipc_boundary(0)` exactly as before, and on
         // a resume it also catches a sample boundary landing on the resume
         // cycle itself (the prefix run never processed that cycle).
-        sched.schedule(self.next_ipc_boundary(start.saturating_sub(1)), SysKey::Ipc);
+        wakes
+            .schedule(Self::key_slot(SysKey::Ipc), self.next_ipc_boundary(start.saturating_sub(1)));
         if start > 0 {
             // A rebuilt calendar has forgotten every in-flight wake-up, so
             // wake each memory-side component once at the resume cycle; each
             // re-arms itself from its own state, and a component with nothing
             // due treats the wake as a no-op.
             match &self.backend {
-                Backend::Dram(_) => sched.wake(SysKey::Dram),
+                Backend::Dram(_) => wakes.wake(Self::key_slot(SysKey::Dram)),
                 Backend::Hmc(hmc) => {
-                    sched.wake(SysKey::Network);
+                    wakes.wake(Self::key_slot(SysKey::Network));
                     for c in 0..hmc.cubes.len() {
-                        sched.wake(SysKey::Cube(c));
-                        sched.wake(SysKey::Engine(c));
+                        wakes.wake(Self::key_slot(SysKey::Cube(c)));
+                        wakes.wake(Self::key_slot(SysKey::Engine(c)));
                     }
                 }
             }
@@ -813,7 +791,6 @@ impl System {
         };
         let mut pool = (!lockstep && threads > 1 && matches!(self.backend, Backend::Hmc(_)))
             .then(|| WorkerPool::new(threads));
-        let mut due: Vec<SysKey> = Vec::new();
         let mut now: Cycle = start;
         let mut completed = false;
         // First network cycle the kernel did *not* process: cores still
@@ -824,8 +801,10 @@ impl System {
         // to exhaustion leaves `now == max_cycles` unprocessed.
         let mut first_unprocessed = max_cycles;
         while now < max_cycles {
-            sched.pop_due_into(now, &mut due);
-            self.step(now, (!lockstep).then_some(&due), &mut sched, hub, pool.as_mut());
+            if !lockstep {
+                wakes.pop_due_into(now, &mut self.due_flags);
+            }
+            self.step(now, !lockstep, &mut wakes, hub, pool.as_mut());
             if self.is_finished() {
                 completed = true;
                 first_unprocessed = now + 1;
@@ -838,7 +817,7 @@ impl System {
             now = if lockstep {
                 now + 1
             } else {
-                match sched.next_cycle() {
+                match wakes.next_cycle() {
                     Some(at) => at.clamp(now + 1, max_cycles),
                     // Nothing scheduled and not finished: no state can change
                     // any more, so idle out to the cycle limit exactly like
@@ -1313,28 +1292,25 @@ impl System {
 
     /// Processes one memory-network cycle.
     ///
-    /// `due` is the set of components with scheduled wake-ups at `now`
-    /// (`None` means "everything", which is how the lock-step driver runs).
-    /// The phase order within a cycle is fixed — cores, barriers, Message
-    /// Interfaces, memory backend, IPC sampling — and matches the original
-    /// lock-step simulator; gating a phase on its key only skips work that
-    /// would have been a no-op.
+    /// In the event kernel (`event`), `due_flags` marks the components whose
+    /// wake-ups the table popped for `now`; the lock-step driver treats every
+    /// component as due. The phase order within a cycle is fixed — cores,
+    /// barriers, Message Interfaces, memory backend, IPC sampling — and
+    /// matches the original lock-step simulator; gating a phase on its key
+    /// only skips work that would have been a no-op. Every due key that
+    /// still has work is re-armed from its fresh `next_wake` before the step
+    /// ends, which is what lets the wake table keep one request per key.
     fn step(
         &mut self,
         now: Cycle,
-        due: Option<&[SysKey]>,
-        sched: &mut ShardedScheduler<SysKey>,
+        event: bool,
+        wakes: &mut WakeTable,
         hub: &mut ObserverHub<'_>,
         pool: Option<&mut WorkerPool>,
     ) {
         debug_assert!(self.armq.is_empty());
-        // Raise the due flags of this step's keys; the lock-step kernel
-        // (`due == None`) treats every key as due and leaves them alone.
-        let mut due_flags = std::mem::take(&mut self.due_flags);
-        for &key in due.unwrap_or_default() {
-            due_flags[Self::key_slot(key)] = true;
-        }
-        let flags = due.map(|_| &due_flags[..]);
+        let due_flags = std::mem::take(&mut self.due_flags);
+        let flags = event.then_some(&due_flags[..]);
         let is_due = |key: SysKey| flags.is_none_or(|flags| flags[Self::key_slot(key)]);
         let ratio = self.cfg.core_cycles_per_network_cycle();
 
@@ -1350,8 +1326,7 @@ impl System {
             // event or the interval's end. The lock-step reference keeps
             // ticking every core per cycle — and never arms an interval — so
             // it stays the per-cycle oracle the settle arithmetic must match.
-            let event_kernel = due.is_some();
-            if event_kernel && now < self.drain_until {
+            if event && now < self.drain_until {
                 // A planned offload-drain window covers this cycle: every
                 // core's pipeline state was already committed to the window
                 // end when the window was armed, so the cluster only replays
@@ -1359,9 +1334,9 @@ impl System {
                 // their true cycles and in their true order, keeping the
                 // memory side cycle-exact.
                 self.flush_drain_outbox(now);
-                sched.schedule_next(self.cores_next_wake(now), SysKey::Cores);
+                wakes.schedule_next(Self::key_slot(SysKey::Cores), self.cores_next_wake(now));
             } else {
-                self.step_cores(now, ratio, event_kernel, sched, hub);
+                self.step_cores(now, ratio, event, wakes, hub);
             }
         }
 
@@ -1385,7 +1360,7 @@ impl System {
         // ------------------------------------------------------------------
         self.sample_ipc(now, ratio, hub);
         if is_due(SysKey::Ipc) {
-            sched.schedule(self.next_ipc_boundary(now), SysKey::Ipc);
+            wakes.schedule(Self::key_slot(SysKey::Ipc), self.next_ipc_boundary(now));
         }
 
         // Re-arm every component woken or stimulated during this cycle
@@ -1406,14 +1381,10 @@ impl System {
                     self.busy_count -= 1;
                 }
             }
-            let wake = self.next_wake_of(now, key);
-            sched.schedule_next(wake, key);
+            wakes.schedule_next(slot, self.next_wake_of(now, key));
         }
         touched.clear();
         self.armq = touched;
-        for &key in due.unwrap_or_default() {
-            due_flags[Self::key_slot(key)] = false;
-        }
         self.due_flags = due_flags;
     }
 
@@ -1427,7 +1398,7 @@ impl System {
         now: Cycle,
         ratio: u64,
         event_kernel: bool,
-        sched: &mut ShardedScheduler<SysKey>,
+        wakes: &mut WakeTable,
         hub: &mut ObserverHub<'_>,
     ) {
         let mut ctx = SchedCtx::new(now);
@@ -1510,7 +1481,7 @@ impl System {
         // (or has Message-Interface commands to drain), otherwise only at
         // the next pending completion delivery. A fully parked cluster
         // sleeps until the memory side stimulates it.
-        sched.schedule_next(self.cores_next_wake(now), SysKey::Cores);
+        wakes.schedule_next(Self::key_slot(SysKey::Cores), self.cores_next_wake(now));
     }
 
     /// Whether a memory-side component currently holds in-flight work.
@@ -2623,17 +2594,17 @@ mod tests {
     }
 
     /// Drives `steps` cycles through `System::step` the way `run_with` does,
-    /// in event (`Some(due)`) or lock-step (`None`) mode.
+    /// in event or lock-step mode.
     fn drive_steps(sys: &mut System, event: bool, steps: u64) {
-        let shard_count = SysKey::FIXED_SHARDS + System::backend_cube_count(&sys.backend);
-        let mut sched: ShardedScheduler<SysKey> = ShardedScheduler::new(shard_count, SysKey::shard);
-        sched.wake(SysKey::Cores);
-        sched.schedule(sys.next_ipc_boundary(0), SysKey::Ipc);
-        let mut due: Vec<SysKey> = Vec::new();
+        let mut wakes = WakeTable::new(sys.due_flags.len());
+        wakes.wake(System::key_slot(SysKey::Cores));
+        wakes.schedule(System::key_slot(SysKey::Ipc), sys.next_ipc_boundary(0));
         let mut hub = ObserverHub::new(&mut []);
         for now in 0..steps {
-            sched.pop_due_into(now, &mut due);
-            sys.step(now, event.then_some(&due[..]), &mut sched, &mut hub, None);
+            if event {
+                wakes.pop_due_into(now, &mut sys.due_flags);
+            }
+            sys.step(now, event, &mut wakes, &mut hub, None);
         }
     }
 

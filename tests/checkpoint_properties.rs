@@ -256,3 +256,69 @@ fn out_of_range_transaction_ports_fail_to_restore() {
         }
     }
 }
+
+/// The field `key` of a JSON object.
+fn field_mut<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = doc else { panic!("{key}'s parent is an object") };
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("{key} present")).1
+}
+
+fn array_mut(doc: &mut Json) -> &mut Vec<Json> {
+    let Json::Arr(items) = doc else { panic!("an array") };
+    items
+}
+
+/// Points the first operand slot found in some engine's `list` — an ALU
+/// operation of `alu_queue`, or a local operand read of `pending_reads` —
+/// at pool entry 4096 (`free == false`) or at a free entry of that engine's
+/// pool. Returns whether a slot was rewritten.
+fn redirect_first_operand_slot(ck: &mut Checkpoint, list: &str, free: bool) -> bool {
+    let engines = array_mut(field_mut(field_mut(&mut ck.state, "backend"), "engines"));
+    for engine in engines {
+        let free_slot =
+            array_mut(field_mut(field_mut(engine, "operands"), "free")).first().cloned();
+        let target = if free { free_slot } else { Some(Json::from(4096u64)) };
+        let Some(target) = target else { continue };
+        for entry in array_mut(field_mut(engine, list)) {
+            let owner = match list {
+                "pending_reads" => field_mut(entry, "purpose"),
+                _ => entry,
+            };
+            if list == "pending_reads" && *field_mut(owner, "t") != Json::from("local") {
+                continue;
+            }
+            let slot = field_mut(owner, "slot");
+            if *slot != Json::Null {
+                *slot = target;
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// An operand slot indexes the engine's operand pool, so a restored ALU
+/// operation or outstanding local operand read must name an entry the
+/// restored pool holds — not be accepted and then crash the resumed run
+/// when the first commit or operand arrival indexes the pool.
+#[test]
+fn operand_slots_the_pool_does_not_hold_fail_to_restore() {
+    let build = || {
+        Simulation::builder()
+            .config(SystemConfig::small())
+            .named(NamedConfig::ArfTid)
+            .workload(WorkloadKind::Mac)
+            .size(SizeClass::Tiny)
+    };
+    let mut warm = build().build().expect("valid");
+    assert!(!warm.run_prefix(200), "the prefix must stop mid-run");
+    let pristine = wire_checkpoint(&warm);
+    assert!(build().from_checkpoint(pristine.clone()).build().is_ok(), "the snapshot restores");
+    for (list, free) in [("alu_queue", false), ("alu_queue", true), ("pending_reads", false)] {
+        let mut ck = pristine.clone();
+        assert!(redirect_first_operand_slot(&mut ck, list, free), "no slotted {list} entry");
+        let restore = build().from_checkpoint(ck).build();
+        let target = if free { "a free entry" } else { "entry 4096" };
+        assert!(restore.is_err(), "the {list} slot pointing at {target} must not restore");
+    }
+}
