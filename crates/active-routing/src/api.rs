@@ -16,8 +16,8 @@
 //! what the simulated in-network reduction must reproduce bit-for-bit up to
 //! floating-point associativity.
 
+use ar_types::hash::FastHashMap;
 use ar_types::{Addr, ReduceOp, ThreadId, WorkItem, WorkStream};
-use std::collections::HashMap;
 
 /// Builder for an Active-Routing kernel: per-thread work streams, the initial
 /// memory image, and reference reduction results.
@@ -43,13 +43,14 @@ use std::collections::HashMap;
 pub struct ActiveKernel {
     threads: usize,
     streams: Vec<WorkStream>,
-    /// The initial memory image handed to the simulator.
-    initial_memory: HashMap<u64, f64>,
-    /// The working memory used to evaluate the functional reference: starts
-    /// as a copy of the initial image and is mutated by `mov`/`const_assign`
-    /// updates in program order.
-    memory: HashMap<u64, f64>,
-    references: HashMap<u64, (ReduceOp, f64)>,
+    /// The initial memory image handed to the simulator. Its keys come from
+    /// in-process generators, so the maps use the fast deterministic hasher.
+    initial_memory: FastHashMap<u64, f64>,
+    /// The results of `mov`/`const_assign` updates applied so far, in
+    /// program order. The functional reference reads this overlay first,
+    /// then the initial image, so the image is never copied.
+    overlay: FastHashMap<u64, f64>,
+    references: FastHashMap<u64, (ReduceOp, f64)>,
     update_count: u64,
 }
 
@@ -64,9 +65,9 @@ impl ActiveKernel {
         ActiveKernel {
             threads,
             streams: (0..threads).map(|t| WorkStream::new(ThreadId::new(t))).collect(),
-            initial_memory: HashMap::new(),
-            memory: HashMap::new(),
-            references: HashMap::new(),
+            initial_memory: FastHashMap::default(),
+            overlay: FastHashMap::default(),
+            references: FastHashMap::default(),
             update_count: 0,
         }
     }
@@ -81,10 +82,13 @@ impl ActiveKernel {
         self.update_count
     }
 
-    /// Writes a value into the initial memory image.
+    /// Writes a value into the initial memory image. It also replaces what
+    /// an earlier `mov`/`const_assign` left at `addr`, so later reads see it.
     pub fn write_memory(&mut self, addr: Addr, value: f64) {
         self.initial_memory.insert(addr.as_u64(), value);
-        self.memory.insert(addr.as_u64(), value);
+        if let Some(moved) = self.overlay.get_mut(&addr.as_u64()) {
+            *moved = value;
+        }
     }
 
     /// Writes a contiguous array of f64 values starting at `base` (8-byte
@@ -106,7 +110,8 @@ impl ActiveKernel {
     /// calls — i.e. what the simulated kernel would observe at this point of
     /// the program.
     pub fn read_memory(&self, addr: Addr) -> f64 {
-        self.memory.get(&addr.as_u64()).copied().unwrap_or(0.0)
+        let key = addr.as_u64();
+        self.overlay.get(&key).or_else(|| self.initial_memory.get(&key)).copied().unwrap_or(0.0)
     }
 
     /// The *initial* memory image as `(address, value)` pairs — the state the
@@ -114,7 +119,8 @@ impl ActiveKernel {
     pub fn memory_image(&self) -> Vec<(Addr, f64)> {
         let mut v: Vec<(Addr, f64)> =
             self.initial_memory.iter().map(|(&a, &x)| (Addr::new(a), x)).collect();
-        v.sort_by_key(|(a, _)| a.as_u64());
+        // Keys are unique, so an unstable sort yields the one sorted order.
+        v.sort_unstable_by_key(|(a, _)| a.as_u64());
         v
     }
 
@@ -223,7 +229,7 @@ impl ActiveKernel {
     pub fn references(&self) -> Vec<(Addr, f64)> {
         let mut v: Vec<(Addr, f64)> =
             self.references.iter().map(|(&a, &(_, x))| (Addr::new(a), x)).collect();
-        v.sort_by_key(|(a, _)| a.as_u64());
+        v.sort_unstable_by_key(|(a, _)| a.as_u64());
         v
     }
 
@@ -262,7 +268,7 @@ impl ActiveKernel {
         } else {
             // mov / const_assign update the functional memory image so later
             // updates reading the target observe the new value.
-            self.memory.insert(target.as_u64(), op.apply(0.0, a, b));
+            self.overlay.insert(target.as_u64(), op.apply(0.0, a, b));
         }
     }
 }
@@ -314,6 +320,19 @@ mod tests {
         k.update(0, ReduceOp::ConstAssign, dst, None, Some(0.5), dst);
         assert_eq!(k.read_memory(dst), 0.5);
         assert_eq!(k.reference(dst), None, "non-reductions have no gatherable reference");
+    }
+
+    #[test]
+    fn write_memory_after_a_mov_replaces_the_moved_value() {
+        let mut k = ActiveKernel::new(1);
+        let (src, dst) = (Addr::new(0x100), Addr::new(0x200));
+        k.write_memory(src, 9.0);
+        k.update(0, ReduceOp::Mov, src, None, None, dst);
+        k.write_memory(dst, 4.0);
+        assert_eq!(k.read_memory(dst), 4.0);
+        k.write_memory(src, 1.0);
+        assert_eq!(k.read_memory(src), 1.0);
+        assert_eq!(k.memory_image(), vec![(src, 1.0), (dst, 4.0)]);
     }
 
     #[test]

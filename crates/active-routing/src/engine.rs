@@ -911,8 +911,10 @@ impl ActiveRoutingEngine {
     ///
     /// Returns a [`JsonError`] when the document is malformed or inconsistent
     /// with this engine's configuration (the flow table and operand pool
-    /// perform their own validation), or when an outstanding read or ALU
-    /// operation names an operand slot the restored pool does not hold.
+    /// perform their own validation), when an outstanding read or ALU
+    /// operation names an operand slot the restored pool does not hold, or
+    /// when a remote read's requester or an output packet's source,
+    /// destination or compute cube is not a node of the topology.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         self.flows.load_state(doc.req("flows")?)?;
         self.operands.load_state(doc.req("operands")?)?;
@@ -929,6 +931,9 @@ impl ActiveRoutingEngine {
         for entry in doc.req_array("pending_reads")? {
             let key = entry.req_hex_u64("key")?;
             let purpose = ReadPurpose::state_from_json(entry.req("purpose")?)?;
+            if let ReadPurpose::RemoteOperand { requester, .. } = purpose {
+                self.topology.check_node(requester, || "remote read requester".to_string())?;
+            }
             if self.pending_reads.insert(key, purpose).is_some() {
                 return Err(JsonError::state("duplicate pending-read key in engine state"));
             }
@@ -960,6 +965,9 @@ impl ActiveRoutingEngine {
             )));
         }
         self.pending_output = AreOutput::state_from_json(doc.req("pending_output")?)?;
+        for packet in &self.pending_output.packets {
+            self.topology.check_packet(packet)?;
+        }
         self.next_access_id = doc.req_u64("next_access_id")?;
         self.next_packet_seq = doc.req_u64("next_packet_seq")?;
         self.stats = AreStats::state_from_json(doc.req("stats")?)?;
@@ -1736,6 +1744,79 @@ mod tests {
         let hostile = Json::parse(&rendered.replacen("\"which\":0", "\"which\":7", 1)).unwrap();
         let mut fresh = ActiveRoutingEngine::new(CubeId::new(0), &cfg, topo(), map());
         assert!(fresh.load_state(&hostile).is_err());
+    }
+
+    #[test]
+    fn load_state_rejects_nodes_outside_the_topology() {
+        // Cube 0 serves an operand for cube 1, which leaves a remote-purpose
+        // read. Each case puts one node id the paper topology (16 cubes, 4
+        // host ports) lacks into the snapshot: the read's requester, or a
+        // field of a packet waiting in the engine's output.
+        let mut eng = engine(0);
+        let req = Packet::new(
+            11,
+            NetNode::Cube(CubeId::new(1)),
+            NetNode::Cube(CubeId::new(0)),
+            PacketKind::Active(ActiveKind::OperandReq {
+                flow: flow(0x40),
+                slot: Some(OperandSlot { cube: CubeId::new(1), index: 0 }),
+                addr: Addr::new(0x700),
+                which: 0,
+                update_id: 40,
+                op: ReduceOp::Mac,
+            }),
+            0,
+        );
+        eng.handle_packet(0, req);
+        let good = update_packet(9, flow(0x40), ReduceOp::Sum, 0x80, None, 9, 3);
+        let output_with = |packet: Packet| {
+            Json::obj([
+                ("packets", Json::arr([packet.state_to_json()])),
+                ("vault_accesses", Json::Arr(Vec::new())),
+            ])
+        };
+        let cases = [
+            ("requester", None, "remote read requester cube16"),
+            (
+                "src",
+                Some(Packet { src: NetNode::Host(PortId::new(4)), ..good.clone() }),
+                "packet 0x3 src host-port4",
+            ),
+            (
+                "dst",
+                Some(Packet { dst: NetNode::Cube(CubeId::new(99)), ..good.clone() }),
+                "packet 0x3 dst cube99",
+            ),
+            (
+                "compute_cube",
+                Some(update_packet(9, flow(0x40), ReduceOp::Sum, 0x80, None, 16, 3)),
+                "packet 0x3 compute_cube cube16",
+            ),
+        ];
+        for (field, packet, expected) in cases {
+            let mut doc = eng.state_to_json();
+            let Json::Obj(fields) = &mut doc else { panic!("engine state is an object") };
+            for (key, value) in fields.iter_mut() {
+                match (key.as_str(), &packet) {
+                    ("pending_output", Some(packet)) => *value = output_with(packet.clone()),
+                    ("pending_reads", None) => {
+                        let rendered = value.render();
+                        assert!(rendered.contains(r#""requester":{"cube":1}"#), "{rendered}");
+                        *value = Json::parse(
+                            &rendered
+                                .replace(r#""requester":{"cube":1}"#, r#""requester":{"cube":16}"#),
+                        )
+                        .unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            let err = engine(0).load_state(&doc).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("{expected} is not a node of this topology")),
+                "{field}: got {err}"
+            );
+        }
     }
 
     /// `AreOutput::merge_from` is the sharded kernel's outbox-combining

@@ -14,6 +14,8 @@
 //! destination cube`.
 
 use ar_types::ids::{CubeId, NetNode, PortId};
+use ar_types::json::JsonError;
+use ar_types::packet::{ActiveKind, Packet, PacketKind};
 
 /// The dragonfly topology: pure connectivity and routing functions, no state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +58,53 @@ impl DragonflyTopology {
     /// Number of host access ports.
     pub fn host_ports(&self) -> usize {
         self.host_ports
+    }
+
+    /// Checks a node id decoded from checkpointed state against this
+    /// topology. Routing indexes its tables by node, so a restored id must
+    /// pass before anything routes to or from it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the field `what` describes when `node`
+    /// is not a node of this topology.
+    pub fn check_node(
+        &self,
+        node: NetNode,
+        what: impl FnOnce() -> String,
+    ) -> Result<(), JsonError> {
+        let known = match node {
+            NetNode::Cube(c) => c.index() < self.cubes,
+            NetNode::Host(p) => p.index() < self.host_ports,
+        };
+        if known {
+            Ok(())
+        } else {
+            Err(JsonError::state(format!(
+                "{} {node} is not a node of this topology ({} cubes, {} host ports)",
+                what(),
+                self.cubes,
+                self.host_ports
+            )))
+        }
+    }
+
+    /// Checks every node a decoded packet names: its source, its destination
+    /// and, for an `Update`, its compute cube.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the packet and the first field that is
+    /// not a node of this topology.
+    pub fn check_packet(&self, packet: &Packet) -> Result<(), JsonError> {
+        let id = packet.id;
+        self.check_node(packet.src, || format!("packet {id:#x} src"))?;
+        self.check_node(packet.dst, || format!("packet {id:#x} dst"))?;
+        if let PacketKind::Active(ActiveKind::Update { compute_cube, .. }) = packet.kind {
+            let compute = NetNode::Cube(compute_cube);
+            self.check_node(compute, || format!("packet {id:#x} compute_cube"))?;
+        }
+        Ok(())
     }
 
     /// Cubes per group.

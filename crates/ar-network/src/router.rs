@@ -492,7 +492,8 @@ impl MemoryNetwork {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when the document is malformed, references a
-    /// link or node that does not exist in this network's topology, or
+    /// link or node that does not exist in this network's topology (a
+    /// packet's source, destination or `Update` compute cube included), or
     /// describes arrivals no in-order link could hold.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         fn link_key(doc: &Json) -> Result<(NetNode, NetNode), JsonError> {
@@ -524,9 +525,11 @@ impl MemoryNetwork {
                     )));
                 }
                 let packet = Packet::state_from_json(flight.req("packet")?)?;
+                self.topology.check_packet(&packet)?;
                 unscheduled[l].push_back((at, self.pool.alloc(packet)));
             }
         }
+        let topology = &self.topology;
         let restore_deliveries = |queues: &mut Vec<VecDeque<PacketRef>>,
                                   pool: &mut PacketPool,
                                   delivered: &mut usize,
@@ -546,7 +549,9 @@ impl MemoryNetwork {
                     .as_array()
                     .ok_or_else(|| JsonError::state(format!("{key} queue is not an array")))?
                 {
-                    queue.push_back(pool.alloc(Packet::state_from_json(packet)?));
+                    let packet = Packet::state_from_json(packet)?;
+                    topology.check_packet(&packet)?;
+                    queue.push_back(pool.alloc(packet));
                     *delivered += 1;
                 }
             }
@@ -915,6 +920,76 @@ mod tests {
             let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
             let err = restored.load_state(&doc).unwrap_err();
             assert!(err.to_string().contains(expected), "expected {expected:?}, got: {err}");
+        }
+    }
+
+    #[test]
+    fn load_state_rejects_packets_naming_nodes_outside_the_topology() {
+        // An `Update` from host 0 towards cube 9 waits on its first link. Each
+        // case swaps in a copy with one node id the paper topology (16 cubes,
+        // 4 host ports) lacks, in flight or in a delivery queue.
+        let update = Packet::new(
+            1,
+            NetNode::Host(PortId::new(0)),
+            NetNode::Cube(CubeId::new(9)),
+            PacketKind::Active(ActiveKind::Update {
+                flow: ar_types::ids::FlowId::new(0x40, PortId::new(0)),
+                op: ar_types::ReduceOp::Sum,
+                src1: Addr::new(0x80),
+                src2: None,
+                imm: None,
+                compute_cube: CubeId::new(9),
+                thread: ar_types::ids::ThreadId::new(0),
+                update_id: 1,
+                issued_at: 0,
+            }),
+            0,
+        );
+        let mut net = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+        net.inject(0, update.clone());
+        let mut far_compute = update.clone();
+        let PacketKind::Active(ActiveKind::Update { compute_cube, .. }) = &mut far_compute.kind
+        else {
+            unreachable!()
+        };
+        *compute_cube = CubeId::new(16);
+        let cases = [
+            (
+                "links",
+                Packet { src: NetNode::Host(PortId::new(4)), ..update.clone() },
+                "src host-port4",
+            ),
+            (
+                "links",
+                Packet { dst: NetNode::Cube(CubeId::new(99)), ..update.clone() },
+                "dst cube99",
+            ),
+            ("links", far_compute, "compute_cube cube16"),
+            (
+                "delivered_cube",
+                Packet { dst: NetNode::Cube(CubeId::new(16)), ..update },
+                "dst cube16",
+            ),
+        ];
+        for (site, packet, expected) in cases {
+            let mut doc = net.state_to_json();
+            let Json::Arr(site_entries) = field_mut(&mut doc, site) else { panic!("an array") };
+            if site == "links" {
+                let link = site_entries
+                    .iter_mut()
+                    .find(|link| link.req_array("in_flight").is_ok_and(|f| !f.is_empty()))
+                    .expect("the update is in flight");
+                let Json::Arr(in_flight) = field_mut(link, "in_flight") else { panic!("an array") };
+                *field_mut(&mut in_flight[0], "packet") = packet.state_to_json();
+            } else {
+                site_entries[0] = Json::arr([packet.state_to_json()]);
+            }
+            let mut restored = MemoryNetwork::new(DragonflyTopology::paper(), 3, 8);
+            let err = restored.load_state(&doc).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("packet 0x1 {expected} is not a node of this topology")),
+                "expected {expected:?}, got: {err}"
+            );
         }
     }
 
