@@ -913,10 +913,21 @@ impl ActiveRoutingEngine {
     /// with this engine's configuration (the flow table and operand pool
     /// perform their own validation), when an outstanding read or ALU
     /// operation names an operand slot the restored pool does not hold, or
-    /// when a remote read's requester or an output packet's source,
-    /// destination or compute cube is not a node of the topology.
+    /// when a flow's port, parent or child, a remote read's requester or an
+    /// output packet's source, destination or compute cube is not a node of
+    /// the topology.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         self.flows.load_state(doc.req("flows")?)?;
+        // Gathers route to a flow's parent and children; a flow's port names
+        // the host port whose tree it belongs to.
+        for entry in self.flows.iter() {
+            let flow = entry.flow;
+            self.topology.check_node(NetNode::Host(flow.port), || format!("{flow} port"))?;
+            self.topology.check_node(entry.parent, || format!("{flow} parent"))?;
+            for &child in &entry.children {
+                self.topology.check_node(child, || format!("{flow} child"))?;
+            }
+        }
         self.operands.load_state(doc.req("operands")?)?;
         self.stalled.clear();
         for entry in doc.req_array("stalled")? {
@@ -1750,8 +1761,9 @@ mod tests {
     fn load_state_rejects_nodes_outside_the_topology() {
         // Cube 0 serves an operand for cube 1, which leaves a remote-purpose
         // read. Each case puts one node id the paper topology (16 cubes, 4
-        // host ports) lacks into the snapshot: the read's requester, or a
-        // field of a packet waiting in the engine's output.
+        // host ports) lacks into the snapshot: the read's requester, a field
+        // of a packet waiting in the engine's output, or a flow entry's
+        // parent, child or port.
         let mut eng = engine(0);
         let req = Packet::new(
             11,
@@ -1770,36 +1782,44 @@ mod tests {
         eng.handle_packet(0, req);
         let good = update_packet(9, flow(0x40), ReduceOp::Sum, 0x80, None, 9, 3);
         let output_with = |packet: Packet| {
-            Json::obj([
+            let output = Json::obj([
                 ("packets", Json::arr([packet.state_to_json()])),
                 ("vault_accesses", Json::Arr(Vec::new())),
-            ])
+            ]);
+            Some(("pending_output", output))
         };
+        let flows_with = |port: usize, parent: NetNode, child: Option<NetNode>| {
+            let mut table = FlowTable::new(1);
+            let id = FlowId::new(0x40, PortId::new(port));
+            table.entry_or_register(id, ReduceOp::Sum, parent).children.extend(child);
+            Some(("flows", table.state_to_json()))
+        };
+        let host = NetNode::Host(PortId::new(0));
+        let cube99 = NetNode::Cube(CubeId::new(99));
         let cases = [
             ("requester", None, "remote read requester cube16"),
             (
                 "src",
-                Some(Packet { src: NetNode::Host(PortId::new(4)), ..good.clone() }),
+                output_with(Packet { src: NetNode::Host(PortId::new(4)), ..good.clone() }),
                 "packet 0x3 src host-port4",
             ),
-            (
-                "dst",
-                Some(Packet { dst: NetNode::Cube(CubeId::new(99)), ..good.clone() }),
-                "packet 0x3 dst cube99",
-            ),
+            ("dst", output_with(Packet { dst: cube99, ..good.clone() }), "packet 0x3 dst cube99"),
             (
                 "compute_cube",
-                Some(update_packet(9, flow(0x40), ReduceOp::Sum, 0x80, None, 16, 3)),
+                output_with(update_packet(9, flow(0x40), ReduceOp::Sum, 0x80, None, 16, 3)),
                 "packet 0x3 compute_cube cube16",
             ),
+            ("parent", flows_with(0, cube99, None), "flow(0x40@port0) parent cube99"),
+            ("children", flows_with(0, host, Some(cube99)), "flow(0x40@port0) child cube99"),
+            ("port", flows_with(9, host, None), "flow(0x40@port9) port host-port9"),
         ];
-        for (field, packet, expected) in cases {
+        for (field, replaced, expected) in cases {
             let mut doc = eng.state_to_json();
             let Json::Obj(fields) = &mut doc else { panic!("engine state is an object") };
             for (key, value) in fields.iter_mut() {
-                match (key.as_str(), &packet) {
-                    ("pending_output", Some(packet)) => *value = output_with(packet.clone()),
-                    ("pending_reads", None) => {
+                match &replaced {
+                    Some((name, new)) if key == name => *value = new.clone(),
+                    None if key == "pending_reads" => {
                         let rendered = value.render();
                         assert!(rendered.contains(r#""requester":{"cube":1}"#), "{rendered}");
                         *value = Json::parse(

@@ -214,8 +214,8 @@ impl OperandPool {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when the document is malformed or inconsistent
-    /// with this pool's capacity (wrong slot count, free index out of range
-    /// or pointing at an occupied slot).
+    /// with this pool's capacity (wrong slot count, free index out of range,
+    /// pointing at an occupied slot or listed twice).
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
         let slots = doc.req_array("slots")?;
         if slots.len() != self.slots.len() {
@@ -232,6 +232,9 @@ impl OperandPool {
             };
         }
         self.free.clear();
+        // A duplicate would hand one slot to two updates, with the slot it
+        // displaced never handed out at all.
+        let mut listed = vec![false; self.slots.len()];
         for index in doc.req_array("free")? {
             let index = index
                 .as_u64()
@@ -241,6 +244,9 @@ impl OperandPool {
                 return Err(JsonError::state(format!(
                     "free-stack index {index} is out of range or occupied"
                 )));
+            }
+            if std::mem::replace(&mut listed[index], true) {
+                return Err(JsonError::state(format!("free-stack index {index} is listed twice")));
             }
             self.free.push(index);
         }

@@ -321,4 +321,16 @@ fn operand_slots_the_pool_does_not_hold_fail_to_restore() {
         let target = if free { "a free entry" } else { "entry 4096" };
         assert!(restore.is_err(), "the {list} slot pointing at {target} must not restore");
     }
+    // A free stack listing its top entry twice, in place of another empty
+    // entry, still covers the pool's size, but would hand that entry to two
+    // updates.
+    let mut ck = pristine;
+    let engine = &mut array_mut(field_mut(field_mut(&mut ck.state, "backend"), "engines"))[0];
+    let free = array_mut(field_mut(field_mut(engine, "operands"), "free"));
+    assert!(free.len() >= 2, "engine 0 has two free operand entries");
+    let top = free.len() - 1;
+    free[top - 1] = free[top].clone();
+    let err =
+        build().from_checkpoint(ck).build().expect_err("a duplicated free entry must not restore");
+    assert!(err.to_string().contains("listed twice"), "{err}");
 }
