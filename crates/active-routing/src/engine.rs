@@ -68,21 +68,6 @@ pub struct AreOutput {
 }
 
 impl AreOutput {
-    /// Merges another output into this one, draining `other` in place.
-    ///
-    /// Both lists are appended, so within each list the emission order of
-    /// `other` is preserved after `self`'s; `other` is left empty with its
-    /// capacity intact, ready to be recycled as an accumulator. Callers that
-    /// combine outputs of several engines (the sharded kernel's per-cube
-    /// outbox merge) must merge in ascending cube-index order: packets
-    /// injected into the memory network in the same cycle are queued per
-    /// link in merge order, so any other order would change link-level FIFO
-    /// order and with it the report.
-    pub fn merge_from(&mut self, other: &mut AreOutput) {
-        self.packets.append(&mut other.packets);
-        self.vault_accesses.append(&mut other.vault_accesses);
-    }
-
     /// Clears both lists, keeping their capacity for reuse.
     pub fn clear(&mut self) {
         self.packets.clear();
@@ -1837,60 +1822,5 @@ mod tests {
                 "{field}: got {err}"
             );
         }
-    }
-
-    /// `AreOutput::merge_from` is the sharded kernel's outbox-combining
-    /// primitive: merging per-cube outputs in ascending cube-index order
-    /// must reproduce exactly the concatenation the serial per-cube loop
-    /// emits — per list, in emission order, with nothing reordered across
-    /// cube boundaries. (Same-cycle packets queue per link in merge order,
-    /// so any permutation would change link-level FIFO order and the
-    /// report; `System::step_hmc` debug-asserts the ascending order.) The
-    /// merge borrows and drains its source in place — no clone, and the
-    /// drained source keeps its buffers for recycling.
-    #[test]
-    fn merge_preserves_cube_index_emission_order() {
-        // Three per-cube outputs with overlapping, interleavable content.
-        let f = flow(0x40);
-        let per_cube: Vec<AreOutput> = (0..3u64)
-            .map(|c| AreOutput {
-                packets: (0..2)
-                    .map(|i| update_packet(5, f, ReduceOp::Sum, 0x80, None, 5, c * 10 + i))
-                    .collect(),
-                vault_accesses: (0..2)
-                    .map(|i| VaultAccess {
-                        id: c * 10 + i,
-                        addr: Addr::new(0x1000 + (c * 10 + i) * 8),
-                        write_value: None,
-                    })
-                    .collect(),
-            })
-            .collect();
-        let mut merged = AreOutput::default();
-        let mut sources = per_cube.clone();
-        for out in &mut sources {
-            let cap = out.packets.capacity();
-            merged.merge_from(out);
-            assert!(out.is_empty(), "merge_from drains its source in place");
-            assert_eq!(out.packets.capacity(), cap, "a drained source keeps its buffers");
-        }
-        let serial: Vec<u64> =
-            per_cube.iter().flat_map(|o| o.packets.iter().map(|p| p.id)).collect();
-        assert_eq!(merged.packets.iter().map(|p| p.id).collect::<Vec<_>>(), serial);
-        let serial_accesses: Vec<u64> =
-            per_cube.iter().flat_map(|o| o.vault_accesses.iter().map(|a| a.id)).collect();
-        assert_eq!(merged.vault_accesses.iter().map(|a| a.id).collect::<Vec<_>>(), serial_accesses);
-        // Merging is deterministic: the same inputs merge to the same output.
-        let mut again = AreOutput::default();
-        let mut sources = per_cube.clone();
-        for out in &mut sources {
-            again.merge_from(out);
-        }
-        assert_eq!(again, merged);
-        // And `clear` resets content but keeps the buffers.
-        let cap = (merged.packets.capacity(), merged.vault_accesses.capacity());
-        merged.clear();
-        assert!(merged.is_empty());
-        assert_eq!((merged.packets.capacity(), merged.vault_accesses.capacity()), cap);
     }
 }

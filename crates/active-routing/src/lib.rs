@@ -38,14 +38,3 @@ pub use flow::{FlowEntry, FlowTable};
 pub use host::{GatherCompletion, HostOffloadController, HostOutput, HostStats};
 pub use operand::{OperandEntry, OperandPool};
 pub use scheme::{AdaptivePolicy, PortSelector};
-
-// The engine tick path (packet handling + pipeline wake) runs on worker
-// threads when the system's scheduler is sharded (`ar_sim::WorkerPool`): pin
-// its Send-cleanliness at compile time. Stat deltas stay engine-local
-// (`AreStats` per engine) or travel through `AreOutput` outboxes, never
-// through shared counters.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ActiveRoutingEngine>();
-    assert_send::<AreOutput>();
-};

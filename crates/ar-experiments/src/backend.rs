@@ -9,6 +9,8 @@
 //! `--all` run recomputes only the cells whose effective configuration
 //! actually changed.
 
+use crate::scale::ExperimentScale;
+use ar_serve::SweepClient;
 use std::sync::RwLock;
 
 static SERVER: RwLock<Option<String>> = RwLock::new(None);
@@ -27,6 +29,25 @@ pub fn use_local() {
 /// The currently configured server address, if any.
 pub fn server() -> Option<String> {
     SERVER.read().expect("backend lock poisoned").clone()
+}
+
+/// Connects to the sweep server at `addr` and checks that it simulates
+/// `scale`'s base configuration (its hello banner carries the base's
+/// content hash), so its cached reports belong to this scale.
+///
+/// # Errors
+///
+/// Returns the message to show the user when the server is unreachable or
+/// simulates another base configuration.
+pub fn connect(addr: &str, scale: ExperimentScale) -> Result<SweepClient, String> {
+    let client = SweepClient::connect(addr).map_err(|e| format!("sweep server {addr}: {e}"))?;
+    if client.base_hash() != scale.system_config().to_json().content_hash() {
+        return Err(format!(
+            "sweep server {addr} simulates a different base configuration; \
+             start it with `ar-experiments serve --scale {scale}`"
+        ));
+    }
+    Ok(client)
 }
 
 #[cfg(test)]

@@ -193,6 +193,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    // Check the sweep server once before rendering: an unreachable server,
+    // or one that simulates another scale, is an input error like any other.
+    if let Some(addr) = backend::server() {
+        if let Err(message) = backend::connect(&addr, scale) {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    }
     for artifact in selected {
         eprintln!("[ar-experiments] running {} at scale {scale} ...", artifact.name());
         if json {

@@ -10,7 +10,6 @@
 
 use crate::backend;
 use crate::scale::ExperimentScale;
-use ar_serve::SweepClient;
 use ar_system::{CellKey, SimReport, Sweep};
 use ar_types::config::NamedConfig;
 use ar_workloads::WorkloadKind;
@@ -88,22 +87,14 @@ impl Matrix {
     ///
     /// Panics when the server is unreachable, fails a cell, or — the
     /// correctness guard — simulates a different base configuration than
-    /// this scale (its hello banner carries the base's content hash).
+    /// this scale (see [`backend::connect`]).
     fn run_via_server(
         addr: &str,
         workloads: &[WorkloadKind],
         configs: &[NamedConfig],
         scale: ExperimentScale,
     ) -> Self {
-        let mut client =
-            SweepClient::connect(addr).unwrap_or_else(|e| panic!("sweep server {addr}: {e}"));
-        let base_hash = scale.system_config().to_json().content_hash();
-        assert_eq!(
-            client.base_hash(),
-            base_hash,
-            "sweep server {addr} simulates a different base configuration; \
-             start it with `ar-experiments serve --scale {scale}`"
-        );
+        let mut client = backend::connect(addr, scale).unwrap_or_else(|e| panic!("{e}"));
         let cells: Vec<CellKey> = workloads
             .iter()
             .flat_map(|w| {

@@ -36,14 +36,3 @@ pub mod vault;
 
 pub use cube::HmcCube;
 pub use vault::{Vault, VaultRequest, VaultResponse};
-
-// The cube tick path runs on worker threads when the system's scheduler is
-// sharded (`ar_sim::WorkerPool`): pin its Send-cleanliness — no interior
-// shared state, no thread-bound handles — at compile time.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<HmcCube>();
-    assert_send::<Vault>();
-    assert_send::<VaultRequest>();
-    assert_send::<VaultResponse>();
-};

@@ -345,12 +345,12 @@ impl MemoryNetwork {
         Some(self.pool.free(r))
     }
 
-    /// Drains a cube's delivery queue into `inbox` in arrival order, moving
-    /// each packet out of the pool — the per-shard inbox handed to the cube's
-    /// tick job. Equivalent to calling [`MemoryNetwork::pop_at_cube`] until it
-    /// returns `None`, but allocation-free for a caller that recycles
-    /// per-cube inbox buffers every cycle: `inbox` keeps its spare capacity
-    /// and the pool recycles the slots.
+    /// Appends a cube's delivery queue to `inbox` in arrival order, moving
+    /// each packet out of the pool. Equivalent to calling
+    /// [`MemoryNetwork::pop_at_cube`] until it returns `None`, but
+    /// allocation-free for a caller that recycles one inbox buffer every
+    /// cycle: `inbox` keeps its spare capacity and the pool recycles the
+    /// slots.
     pub fn drain_at_cube_into(&mut self, cube: CubeId, inbox: &mut VecDeque<Packet>) {
         let Self { pool, delivered_cube, delivered, .. } = self;
         let queue = &mut delivered_cube[cube.index()];

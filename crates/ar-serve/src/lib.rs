@@ -2,8 +2,8 @@
 //! content-addressed result cache.
 //!
 //! Every simulation in this workspace is deterministic — the equivalence
-//! suite pins byte-identical [`ar_system::SimReport`]s across thread counts
-//! and fast-forward modes — which makes whole runs *memoisable*: a report
+//! suite pins byte-identical [`ar_system::SimReport`]s across kernels and
+//! fast-forward modes — which makes whole runs *memoisable*: a report
 //! is a pure function of the effective configuration, workload and size.
 //! This crate exploits that. A long-running [`SweepServer`] daemon keeps an
 //! on-disk [`ReportCache`] keyed by the content hash of each cell's

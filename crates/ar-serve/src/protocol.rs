@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn requests_round_trip_the_wire_encoding() {
         let cell = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Tiny)
-            .with_knobs(CellKnobs { threads: 2, cycle_limit: Some(1000), ..CellKnobs::default() });
+            .with_knobs(CellKnobs { cycle_limit: Some(1000), ..CellKnobs::default() });
         for request in [
             Request::Ping,
             Request::Stats,

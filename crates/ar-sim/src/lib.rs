@@ -12,8 +12,6 @@
 //!   [`component::WakeTable`] a driver keeps them in;
 //! * [`events::EventFifo`] — events scheduled in cycle order, popped in
 //!   O(1) (constant-delay stages such as the HMC crossbar);
-//! * [`shard`] — the persistent [`shard::WorkerPool`] that ticks
-//!   independent shards (a cube with its engine) concurrently;
 //! * [`queue::LatencyQueue`] — items that become visible after a fixed or
 //!   per-item delay (pipelines, DRAM access completion);
 //! * [`queue::BandwidthLink`] — a bandwidth-limited, in-order link that
@@ -37,12 +35,10 @@ pub mod component;
 pub mod events;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 
 pub use component::{Component, NextWake, SchedCtx, WakeTable};
 pub use events::EventFifo;
 pub use queue::{BandwidthLink, LatencyQueue};
 pub use rng::SimRng;
-pub use shard::WorkerPool;
 pub use stats::{Counter, Histogram, Stats, TimeSeries};

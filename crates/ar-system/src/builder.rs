@@ -138,7 +138,6 @@ pub struct SimulationBuilder {
     variant: Option<Variant>,
     observers: Vec<Box<dyn Observer>>,
     lockstep: bool,
-    threads: usize,
     fast_forward: Option<bool>,
     drain_fast_forward: Option<bool>,
     checkpoint: Option<Checkpoint>,
@@ -161,7 +160,6 @@ impl SimulationBuilder {
             variant: None,
             observers: Vec::new(),
             lockstep: false,
-            threads: 1,
             fast_forward: None,
             drain_fast_forward: None,
             checkpoint: None,
@@ -176,7 +174,7 @@ impl SimulationBuilder {
     /// streams (see [`crate::checkpoint`]). [`SimulationBuilder::build`]
     /// fails when the rebuilt configuration or regenerated workload does not
     /// match the one the snapshot was taken under. Report-neutral kernel
-    /// knobs (threads, fast-forwarding, drain, lock-step) may
+    /// knobs (fast-forwarding, drain, lock-step) may
     /// differ freely between the snapshotting run and the restored one.
     #[must_use]
     pub fn from_checkpoint(mut self, checkpoint: Checkpoint) -> Self {
@@ -251,21 +249,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the thread count of the sharded event-driven kernel (see
-    /// [`System::with_threads`]): due cube shards tick concurrently within a
-    /// cycle, with cross-shard effects merged deterministically, so the
-    /// report is byte-identical for every value. Default `1` (serial); `0`
-    /// resolves to the machine's available parallelism, and explicit counts
-    /// are clamped to it at build time — workers beyond physical CPUs only
-    /// add scheduling overhead, never speedup ([`System::with_threads`] is
-    /// the unclamped low-level knob). Ignored by the lock-step reference
-    /// kernel.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Forces bulk compute fast-forwarding on or off (see
     /// [`System::with_fast_forward`]).
     ///
@@ -327,18 +310,12 @@ impl SimulationBuilder {
                 MemoryMode::HmcNetwork => "HMC".to_string(),
             },
         };
-        let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let threads = match self.threads {
-            0 => available,
-            n => n.min(available),
-        };
         let fast_forward = self.fast_forward.unwrap_or_else(|| {
             generated.compute_block_stats().longest_block >= ar_cpu::PROFITABLE_BLOCK_INSNS
         });
         let drain_fast_forward = self.drain_fast_forward.unwrap_or(generated.updates > 0);
         let mut system = System::new(cfg, generated.streams, generated.memory)?
             .with_labels(generated.name, label)
-            .with_threads(threads)
             .with_fast_forward(fast_forward)
             .with_drain_fast_forward(drain_fast_forward);
         if let Some(ck) = &self.checkpoint {
@@ -526,12 +503,9 @@ mod tests {
         assert_eq!(resumed, full, "restored run must reproduce the full report");
 
         // The kernel knobs are report-neutral across the restore boundary:
-        // resume the same snapshot on the lock-step kernel and at 4 threads.
-        let lockstep =
-            arf_tid_reduce().from_checkpoint(ck.clone()).lockstep().build().expect("ok").run();
+        // resume the same snapshot on the lock-step kernel.
+        let lockstep = arf_tid_reduce().from_checkpoint(ck).lockstep().build().expect("ok").run();
         assert_eq!(lockstep, full);
-        let threaded = arf_tid_reduce().from_checkpoint(ck).threads(4).build().expect("ok").run();
-        assert_eq!(threaded, full);
     }
 
     #[test]

@@ -50,21 +50,19 @@ use std::sync::{Arc, Mutex};
 /// are part of the key itself.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// Execution knobs of one sweep cell.
+/// Execution knobs of one sweep cell. The default keeps the builder's own
+/// choices: automatic fast-forward decisions and the base configuration's
+/// cycle limit.
 ///
-/// The kernel knobs (threads, the fast-forward modes) place wall-clock work
-/// without affecting the [`SimReport`] — the equivalence suite pins
-/// byte-identical reports across every thread count and every knob setting
-/// — so they are deliberately *excluded* from [`CellKey::cache_key`]: a
-/// report computed at `threads = 4` is a sound cache hit for a later
-/// `threads = 1` request. `cycle_limit` truncates the simulation and
-/// therefore *is* part of the key (folded into the effective configuration's
-/// `max_cycles`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The kernel knobs (the fast-forward modes) place wall-clock work without
+/// affecting the [`SimReport`] — the equivalence suite pins byte-identical
+/// reports across every knob setting — so they are deliberately *excluded*
+/// from [`CellKey::cache_key`]: a report computed with fast-forwarding off
+/// is a sound cache hit for a later request that leaves it on.
+/// `cycle_limit` truncates the simulation and therefore *is* part of the key
+/// (folded into the effective configuration's `max_cycles`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellKnobs {
-    /// Sharded-kernel thread count
-    /// ([`SimulationBuilder::threads`]; `0` = available parallelism).
-    pub threads: usize,
     /// Forces bulk compute fast-forwarding on or off; `None` keeps the
     /// builder's automatic decision ([`SimulationBuilder::fast_forward`]).
     pub fast_forward: Option<bool>,
@@ -74,14 +72,6 @@ pub struct CellKnobs {
     pub drain_fast_forward: Option<bool>,
     /// Overrides the base configuration's `max_cycles` when set.
     pub cycle_limit: Option<u64>,
-}
-
-impl Default for CellKnobs {
-    /// The builder's own defaults: serial kernel, automatic fast-forward
-    /// decisions, the base configuration's cycle limit.
-    fn default() -> Self {
-        CellKnobs { threads: 1, fast_forward: None, drain_fast_forward: None, cycle_limit: None }
-    }
 }
 
 /// The identity of one sweep cell: which workload, under which named
@@ -137,8 +127,7 @@ impl CellKey {
             .config(cfg)
             .named(self.config)
             .workload_arc(workload)
-            .size(self.size)
-            .threads(self.knobs.threads);
+            .size(self.size);
         if let Some(ff) = self.knobs.fast_forward {
             builder = builder.fast_forward(ff);
         }
@@ -153,7 +142,7 @@ impl CellKey {
     /// is the *effective* configuration — named overlay applied and
     /// `cycle_limit` folded into `max_cycles`, so the same effective limit
     /// expressed either way produces the same key. Report-neutral knobs
-    /// (threads, fast-forward modes) are excluded; see [`CellKnobs`].
+    /// (the fast-forward modes) are excluded; see [`CellKnobs`].
     ///
     /// Content-hash this document ([`Json::content_hash`]) to get the cache
     /// address of the cell's report.
@@ -184,7 +173,6 @@ impl CellKey {
             ("workload", Json::from(self.workload.clone())),
             ("config", Json::from(self.config.to_string())),
             ("size", Json::from(self.size.to_string())),
-            ("threads", Json::from(self.knobs.threads)),
             ("fast_forward", opt_bool(self.knobs.fast_forward)),
             ("drain_fast_forward", opt_bool(self.knobs.drain_fast_forward)),
             ("cycle_limit", self.knobs.cycle_limit.map(Json::from).unwrap_or(Json::Null)),
@@ -220,12 +208,6 @@ impl CellKey {
             Some(v) => v.as_bool().map(Some).ok_or_else(|| bad(key)),
         };
         let knobs = CellKnobs {
-            threads: doc
-                .get("threads")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("threads"))?
-                .try_into()
-                .map_err(|_| bad("threads"))?,
             fast_forward: opt_bool("fast_forward")?,
             drain_fast_forward: opt_bool("drain_fast_forward")?,
             cycle_limit: match doc.get("cycle_limit") {
@@ -488,7 +470,7 @@ impl Sweep {
 /// checkpoint, each resumed and run to completion on its own worker thread.
 ///
 /// This is the warm-up-once sweep shape: when a matrix varies only kernel
-/// knobs (thread counts, fast-forward modes) over one `(workload, config,
+/// knobs (the fast-forward modes) over one `(workload, config,
 /// size)` identity, the cold prefix is identical across every variant — the
 /// knobs are report-neutral by the pinned equivalence invariant — so
 /// simulating it per variant is pure waste. The warm-up runs
@@ -644,23 +626,29 @@ mod tests {
         }
         // Knobs survive the wire too, including explicit fast-forward forcing.
         let knobbed = keys[0].clone().with_knobs(CellKnobs {
-            threads: 4,
             fast_forward: Some(false),
             drain_fast_forward: Some(true),
             cycle_limit: Some(12_345),
         });
         assert_eq!(CellKey::from_json(&knobbed.to_json()).unwrap(), knobbed);
-        // Clients built while the kernel still had its run-ahead knob send
-        // it on every key; the field is ignored, so such a document decodes
-        // to the same key and hits the same cache entry. (The wire name is
-        // spelled in two pieces: the knob no longer exists anywhere else.)
-        let retired_knob = concat!("cross", "_cycle");
+        // Clients built while the kernel still had its run-ahead or thread
+        // knobs send them on every key; the fields are ignored, so such a
+        // document decodes to the same key and hits the same cache entry.
+        // (The run-ahead wire name is spelled in two pieces: the knob no
+        // longer exists anywhere else.)
+        let retired_knobs = [
+            (concat!("cross", "_cycle"), Json::Null),
+            (concat!("cross", "_cycle"), Json::from(true)),
+            (concat!("cross", "_cycle"), Json::from(false)),
+            ("threads", Json::from(1u64)),
+            ("threads", Json::from(4u64)),
+        ];
         let base = small_cfg();
         for key in [&keys[0], &knobbed] {
-            for value in [Json::Null, Json::from(true), Json::from(false)] {
+            for (knob, value) in &retired_knobs {
                 let mut legacy = key.to_json();
                 let Json::Obj(pairs) = &mut legacy else { unreachable!("keys encode as objects") };
-                pairs.push((retired_knob.to_string(), value));
+                pairs.push((knob.to_string(), value.clone()));
                 let decoded = CellKey::from_json(&legacy).expect("legacy key doc decodes");
                 assert_eq!(&decoded, key);
                 assert_eq!(decoded.cache_hash(&base), key.cache_hash(&base));
@@ -677,10 +665,9 @@ mod tests {
         let base = small_cfg();
         let key = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Tiny);
         let addr = key.cache_hash(&base);
-        // threads / fast-forward knobs never change the report, so they must
+        // fast-forward knobs never change the report, so they must
         // share the cache address...
         let neutral = key.clone().with_knobs(CellKnobs {
-            threads: 8,
             fast_forward: Some(true),
             drain_fast_forward: Some(false),
             cycle_limit: None,
@@ -747,7 +734,7 @@ mod tests {
         let cell = CellKey::new("reduce", NamedConfig::ArfTid, SizeClass::Tiny);
         let variants = [
             CellKnobs::default(),
-            CellKnobs { threads: 4, ..CellKnobs::default() },
+            CellKnobs { drain_fast_forward: Some(false), ..CellKnobs::default() },
             CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
         ];
         let warm = warm_fan_out(&base, Arc::new(WorkloadKind::Reduce), &cell, 400, &variants)

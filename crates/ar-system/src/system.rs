@@ -46,7 +46,7 @@ use ar_cpu::{Core, MemAccess, MemAccessKind, OffloadCommand, OffloadDrainOutcome
 use ar_dram::{DramRequest, DramSystem};
 use ar_hmc::{HmcCube, VaultRequest};
 use ar_network::{DragonflyTopology, MemoryNetwork, MeshNoc};
-use ar_sim::{Component, LatencyQueue, NextWake, SchedCtx, TimeSeries, WakeTable, WorkerPool};
+use ar_sim::{Component, LatencyQueue, NextWake, SchedCtx, TimeSeries, WakeTable};
 use ar_types::addr::AddressMap;
 use ar_types::config::{MemoryMode, SystemConfig};
 use ar_types::error::ConfigError;
@@ -70,9 +70,6 @@ const IPC_WINDOW_CORE_CYCLES: u64 = 2048;
 /// key, a cube with its 32 vaults is one key): a key must be worth the
 /// calendar bookkeeping, and the intra-component skipping is handled by the
 /// component itself through its own [`Component::next_wake`] logic.
-///
-/// A cube and its Active-Routing engine form one *cube shard*: the two keys
-/// whose state a tick job of the parallel cube sub-phases mutates together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SysKey {
     /// The core cluster: core pipelines, barrier release, MI drain.
@@ -89,139 +86,6 @@ enum SysKey {
     /// when the kernel skips over the sampling boundary).
     Ipc,
 }
-
-/// Cross-shard effects recorded by one cube shard's delivery/engine tick
-/// job (sub-phase 1 of the HMC step), applied serially in cube-index order
-/// at the merge boundary so the result is byte-identical to the serial
-/// per-cube loop regardless of worker count.
-#[derive(Debug, Default)]
-struct CubeOutbox {
-    /// Request ids of normal (core-transaction) vault accesses pushed this
-    /// cycle, registered in the shared purpose map at merge time.
-    normal_ids: Vec<u64>,
-    /// DRAM traffic charged by this shard (64 B per normal access; operand
-    /// accesses are charged when the engine outputs are applied).
-    hmc_bytes: u64,
-    /// The cube received at least one vault request, so `SysKey::Cube` must
-    /// be stimulated for sub-phase 2.
-    cube_stimulated: bool,
-    /// Engine output (packets + operand/vault accesses) accumulated across
-    /// the handled active packets and the pipeline tick, in emission order.
-    /// One reused accumulator per cube: within each list the order equals
-    /// the old one-output-per-packet scheme's concatenation, and packets and
-    /// vault accesses feed disjoint subsystems (network injection vs. vault
-    /// queues), so collapsing the per-packet boundaries cannot change the
-    /// report.
-    are_output: AreOutput,
-}
-
-/// Reusable per-cube buffers for the HMC sub-phase jobs. Taken out of the
-/// system when a cube's job is built and moved back at the merge, so inbox
-/// and outbox capacities survive across cycles instead of being reallocated
-/// 10^5 times per run.
-#[derive(Debug, Default)]
-struct CubeScratch {
-    /// The cube's network deliveries, swapped out of the network's per-cube
-    /// queue (whose spare capacity is left behind in exchange).
-    inbox: VecDeque<Packet>,
-    outbox: CubeOutbox,
-    /// Vault completions popped in sub-phase 2, in pop order.
-    completions: Vec<ar_hmc::VaultResponse>,
-}
-
-/// One cube shard's sub-phase-1 job: drain the cube's network inbox and
-/// advance its engine pipelines. Holds disjoint `&mut`s into the backend, so
-/// a batch of these can tick on worker threads.
-struct CubeDeliveryJob<'a> {
-    cube: &'a mut HmcCube,
-    engine: &'a mut ActiveRoutingEngine,
-    scratch: &'a mut CubeScratch,
-}
-
-impl CubeDeliveryJob<'_> {
-    /// The per-cube body of sub-phase 1, operation-for-operation the serial
-    /// loop's order: deliver packets (vault pushes and engine handling in
-    /// arrival order), then advance the engine pipelines.
-    fn tick(&mut self, now: Cycle) {
-        while let Some(packet) = self.scratch.inbox.pop_front() {
-            match &packet.kind {
-                PacketKind::ReadReq { req_id, addr } | PacketKind::WriteReq { req_id, addr } => {
-                    let is_write = matches!(packet.kind, PacketKind::WriteReq { .. });
-                    let id = *req_id;
-                    let addr = *addr;
-                    let req = if is_write {
-                        VaultRequest::write(id, addr)
-                    } else {
-                        VaultRequest::read(id, addr)
-                    };
-                    let _ = self.cube.try_push(now, req);
-                    self.scratch.outbox.normal_ids.push(id);
-                    self.scratch.outbox.cube_stimulated = true;
-                    self.scratch.outbox.hmc_bytes += 64;
-                }
-                PacketKind::ReadResp { .. } | PacketKind::WriteAck { .. } => {
-                    // Responses are only ever destined to host ports.
-                }
-                PacketKind::Active(_) => {
-                    self.engine.handle_packet_into(
-                        now,
-                        packet,
-                        &mut self.scratch.outbox.are_output,
-                    );
-                }
-            }
-        }
-        self.engine.tick_into(now, &mut self.scratch.outbox.are_output);
-    }
-}
-
-/// One cube shard's sub-phase-2 job: advance the crossbar and vaults, and
-/// collect the completions that crossed back, in pop order.
-struct VaultDrainJob<'a> {
-    cube: &'a mut HmcCube,
-    scratch: &'a mut CubeScratch,
-}
-
-impl VaultDrainJob<'_> {
-    fn tick(&mut self, now: Cycle) {
-        let mut ctx = SchedCtx::new(now);
-        self.cube.wake(now, &mut ctx);
-        while let Some(resp) = self.cube.pop_response(now) {
-            self.scratch.completions.push(resp);
-        }
-    }
-}
-
-/// Minimum number of due cube shards worth fanning out to the worker pool.
-/// A dispatch costs a few hundred nanoseconds (publish, claim traffic,
-/// completion wait) while a typical cube tick is shorter than that, so
-/// small batches run inline. The threshold only decides *placement*, never
-/// the merged result.
-const PARALLEL_BATCH_MIN: usize = 4;
-
-/// Runs one tick job per participating cube shard — on the worker pool when
-/// one is attached and the batch is worth a dispatch, inline otherwise. Jobs
-/// only mutate their own shard and outbox, so placement cannot change the
-/// merged result.
-fn run_shard_jobs<T: Send>(
-    pool: Option<&mut WorkerPool>,
-    jobs: &mut [T],
-    f: impl Fn(&mut T) + Sync,
-) {
-    match pool {
-        Some(pool) if jobs.len() >= PARALLEL_BATCH_MIN => pool.run(jobs, |_, job| f(job)),
-        _ => jobs.iter_mut().for_each(f),
-    }
-}
-
-// The cube-shard jobs cross thread boundaries inside `WorkerPool::run`; this
-// pins the Send-cleanliness of the whole HMC tick path (cube, vaults,
-// engine, packets) at compile time, close to the code that relies on it.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<CubeDeliveryJob<'_>>();
-    assert_send::<VaultDrainJob<'_>>();
-};
 
 /// Why a vault access was issued (used to dispatch its completion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,9 +206,6 @@ pub struct System {
     hmc_bytes: u64,
     /// Back-invalidations performed for offloaded updates.
     back_invalidations: u64,
-    /// Worker threads for the sharded kernel (see [`System::with_threads`]):
-    /// 1 = serial (the default), 0 = available parallelism.
-    threads: usize,
     /// Whether the event-driven kernel may arm bulk compute fast-forward
     /// intervals on the cores (see [`System::with_fast_forward`]). The
     /// lock-step reference ignores the knob — it never fast-forwards.
@@ -402,11 +263,15 @@ pub struct System {
     mi_pending: Vec<bool>,
     /// Number of `true` entries in `mi_pending`.
     mi_pending_cores: usize,
-    /// Reusable list of the cube-shard indices participating in the current
-    /// HMC sub-phase (ascending — the outbox merge order).
-    cube_participants: Vec<usize>,
-    /// Reusable per-cube job buffers (one per cube; empty for DRAM).
-    cube_scratch: Vec<CubeScratch>,
+    /// Reusable inbox of the HMC delivery sub-phase: the packets delivered
+    /// at every cube it handles, cube after cube in ascending order.
+    cube_inbox: VecDeque<Packet>,
+    /// `(cube, packet count)` of each cube in `cube_inbox`, in the same
+    /// order (reused across cycles).
+    cube_deliveries: Vec<(usize, usize)>,
+    /// Reusable engine-output buffer of the delivery sub-phase, applied and
+    /// emptied after each cube's engine tick.
+    are_output: AreOutput,
     /// Reusable engine-output merge buffer.
     are_scratch: Vec<(usize, AreOutput)>,
     /// Pool of emptied engine-output accumulators recycled between the
@@ -512,7 +377,9 @@ impl System {
             cores_done,
             busy: vec![false; slot_count],
             busy_count: 0,
-            cube_scratch: (0..cube_count).map(|_| CubeScratch::default()).collect(),
+            cube_inbox: VecDeque::new(),
+            cube_deliveries: Vec::new(),
+            are_output: AreOutput::default(),
             are_scratch: Vec::new(),
             are_spare: Vec::new(),
             completion_scratch: Vec::new(),
@@ -547,7 +414,6 @@ impl System {
             last_ipc_sample_insns: 0,
             hmc_bytes: 0,
             back_invalidations: 0,
-            threads: 1,
             fast_forward: true,
             drain_fast_forward: true,
             drain_until: 0,
@@ -563,7 +429,6 @@ impl System {
             core_wake_at,
             mi_pending,
             mi_pending_cores: 0,
-            cube_participants: Vec::new(),
             resume_cycle: 0,
             report_cycle: 0,
             prefix_completed: false,
@@ -578,27 +443,6 @@ impl System {
             Backend::Dram(_) => 0,
             Backend::Hmc(hmc) => hmc.cubes.len(),
         }
-    }
-
-    /// Sets the thread count of the sharded event-driven kernel: within a
-    /// cycle, due cube shards (each cube with its Active-Routing engine)
-    /// tick concurrently on a persistent worker pool, and their cross-shard
-    /// effects are merged in cube-index order at the sub-phase boundary, so
-    /// the [`SimReport`] is byte-identical for every thread count.
-    ///
-    /// `1` (the default) keeps the fully serial kernel; `0` resolves to the
-    /// machine's available parallelism. This low-level knob uses explicit
-    /// counts *as given* — [`crate::SimulationBuilder::threads`] is the
-    /// policy layer that clamps requests to the host's parallelism, because
-    /// oversubscribed workers can only add scheduling overhead, never
-    /// speedup (the report is identical either way). The unclamped form is
-    /// what lets the pool path be exercised on any host.
-    /// [`System::run_lockstep`] ignores the knob — the lock-step reference
-    /// is always serial.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Enables or disables bulk compute fast-forwarding in the event-driven
@@ -782,15 +626,6 @@ impl System {
                 }
             }
         }
-        // The worker pool that ticks due cube shards concurrently. Spawned
-        // once per run and reused every cycle; only the event-driven kernel
-        // on the HMC backend has shard parallelism to exploit.
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
-        let mut pool = (!lockstep && threads > 1 && matches!(self.backend, Backend::Hmc(_)))
-            .then(|| WorkerPool::new(threads));
         let mut now: Cycle = start;
         let mut completed = false;
         // First network cycle the kernel did *not* process: cores still
@@ -804,7 +639,7 @@ impl System {
             if !lockstep {
                 wakes.pop_due_into(now, &mut self.due_flags);
             }
-            self.step(now, !lockstep, &mut wakes, hub, pool.as_mut());
+            self.step(now, !lockstep, &mut wakes, hub);
             if self.is_finished() {
                 completed = true;
                 first_unprocessed = now + 1;
@@ -1300,14 +1135,7 @@ impl System {
     /// only skips work that would have been a no-op. Every due key that
     /// still has work is re-armed from its fresh `next_wake` before the step
     /// ends, which is what lets the wake table keep one request per key.
-    fn step(
-        &mut self,
-        now: Cycle,
-        event: bool,
-        wakes: &mut WakeTable,
-        hub: &mut ObserverHub<'_>,
-        pool: Option<&mut WorkerPool>,
-    ) {
+    fn step(&mut self, now: Cycle, event: bool, wakes: &mut WakeTable, hub: &mut ObserverHub<'_>) {
         debug_assert!(self.armq.is_empty());
         let due_flags = std::mem::take(&mut self.due_flags);
         let flags = event.then_some(&due_flags[..]);
@@ -1352,7 +1180,7 @@ impl System {
                 let dram_due = is_due(SysKey::Dram) || self.stimulated(SysKey::Dram);
                 self.step_dram(now, dram_due);
             }
-            Backend::Hmc(_) => self.step_hmc(now, flags, hub, pool),
+            Backend::Hmc(_) => self.step_hmc(now, flags, hub),
         }
 
         // ------------------------------------------------------------------
@@ -2089,22 +1917,12 @@ impl System {
     }
 
     /// One HMC-side network cycle, in four sub-phases with the same order as
-    /// the original serial loop: the network tick, the per-cube delivery /
+    /// the original lock-step loop: the network tick, the per-cube delivery /
     /// engine sub-phase, the per-cube vault-drain sub-phase, and the host
-    /// ports. The two per-cube sub-phases tick their due cube shards through
-    /// tick jobs — concurrently when a [`WorkerPool`] is attached — and every
-    /// cross-shard effect (purpose-map entries, traffic bytes, engine
-    /// outputs, completions, stimuli) goes through a per-shard outbox merged
-    /// in cube-index order at the sub-phase boundary, so the schedule of
-    /// observable effects is byte-identical to the serial kernel. `due` holds
-    /// the step's due flags by key slot (`None`: lock-step, everything due).
-    fn step_hmc(
-        &mut self,
-        now: Cycle,
-        due: Option<&[bool]>,
-        hub: &mut ObserverHub<'_>,
-        mut pool: Option<&mut WorkerPool>,
-    ) {
+    /// ports. Both per-cube sub-phases visit cubes in ascending index order.
+    /// `due` holds the step's due flags by key slot (`None`: lock-step,
+    /// everything due).
+    fn step_hmc(&mut self, now: Cycle, due: Option<&[bool]>, hub: &mut ObserverHub<'_>) {
         let is_due = |key: SysKey| due.is_none_or(|flags| flags[Self::key_slot(key)]);
         let ratio = self.cfg.core_cycles_per_network_cycle();
         let mut ctx = SchedCtx::new(now);
@@ -2117,119 +1935,73 @@ impl System {
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Network);
         }
 
-        // 1. Packets delivered at cubes, and the engines' own pipelines: one
-        // tick per cube shard with a pending delivery or a due engine. Taking
-        // the inbox up front is equivalent to the old per-packet pop — no new
-        // delivery can appear at a cube until these outputs are applied. The
-        // participating shard indices live in a persistent scratch, and the
-        // borrow-holding job vector is only materialised when the batch is
-        // worth a worker-pool dispatch — the serial hot path (small batches,
-        // single-threaded hosts) allocates nothing per cycle.
-        let mut participants = std::mem::take(&mut self.cube_participants);
-        participants.clear();
+        // 1. Packets delivered at cubes, and the engines' own pipelines, for
+        // every cube with a pending delivery or a due engine. Every such
+        // inbox is drained before any cube is handled: the drains free the
+        // packet-pool slots that this sub-phase's injections reuse, so the
+        // order fixes which slot each new packet takes (and with it the
+        // checkpoint bytes). A packet injected here, even a zero-hop one to
+        // its own cube, is handled next cycle.
+        let mut inbox = std::mem::take(&mut self.cube_inbox);
+        let mut deliveries = std::mem::take(&mut self.cube_deliveries);
         for c in 0..hmc.cubes.len() {
             let cube_id = CubeId::new(c);
             if !hmc.network.has_delivery_at_cube(cube_id) && !is_due(SysKey::Engine(c)) {
                 continue;
             }
-            hmc.network.drain_at_cube_into(cube_id, &mut self.cube_scratch[c].inbox);
-            participants.push(c);
+            let before = inbox.len();
+            hmc.network.drain_at_cube_into(cube_id, &mut inbox);
+            deliveries.push((c, inbox.len() - before));
         }
-        if pool.is_some() && participants.len() >= PARALLEL_BATCH_MIN {
-            let mut jobs: Vec<CubeDeliveryJob<'_>> = Vec::with_capacity(participants.len());
-            let mut next = participants.iter().peekable();
-            for ((c, (cube, engine)), scratch) in hmc
-                .cubes
-                .iter_mut()
-                .zip(hmc.engines.iter_mut())
-                .enumerate()
-                .zip(self.cube_scratch.iter_mut())
-            {
-                if next.peek() == Some(&&c) {
-                    next.next();
-                    jobs.push(CubeDeliveryJob { cube, engine, scratch });
-                }
-            }
-            run_shard_jobs(pool.as_deref_mut(), &mut jobs, |job| job.tick(now));
-        } else {
-            for &c in &participants {
-                CubeDeliveryJob {
-                    cube: &mut hmc.cubes[c],
-                    engine: &mut hmc.engines[c],
-                    scratch: &mut self.cube_scratch[c],
-                }
-                .tick(now);
-            }
-        }
-        // Merge the outboxes in cube-index order (participants are
-        // ascending): the per-cube accumulators are applied one after the
-        // other, so every network injection and vault push lands in the same
-        // order as the serial per-cube loop. Each accumulator is drained in
-        // place and handed back to its outbox, so its capacity persists
-        // across cycles.
-        debug_assert!(
-            participants.windows(2).all(|w| w[0] < w[1]),
-            "per-cube outboxes must merge in ascending cube-index order \
-             (same-cycle packets queue per link in merge order)"
-        );
-        for &c in &participants {
-            let outbox = &mut self.cube_scratch[c].outbox;
-            for id in outbox.normal_ids.drain(..) {
-                self.vault_purpose.insert(id, VaultPurpose::Normal { txn: id });
-            }
-            self.hmc_bytes += outbox.hmc_bytes;
-            outbox.hmc_bytes = 0;
-            if outbox.cube_stimulated {
-                outbox.cube_stimulated = false;
+        // Then cube by cube: vault requests and engine packets in arrival
+        // order, the engine's pipeline tick, and the engine's output applied
+        // at once.
+        let mut out = std::mem::take(&mut self.are_output);
+        for (c, count) in deliveries.drain(..) {
+            let Backend::Hmc(hmc) = &mut self.backend else { return };
+            let (cube, engine) = (&mut hmc.cubes[c], &mut hmc.engines[c]);
+            for packet in inbox.drain(..count) {
+                let req = match packet.kind {
+                    PacketKind::ReadReq { req_id, addr } => VaultRequest::read(req_id, addr),
+                    PacketKind::WriteReq { req_id, addr } => VaultRequest::write(req_id, addr),
+                    // Responses are only ever destined to host ports.
+                    PacketKind::ReadResp { .. } | PacketKind::WriteAck { .. } => continue,
+                    PacketKind::Active(_) => {
+                        engine.handle_packet_into(now, packet, &mut out);
+                        continue;
+                    }
+                };
+                let _ = cube.try_push(now, req);
+                self.vault_purpose.insert(req.id, VaultPurpose::Normal { txn: req.id });
+                self.hmc_bytes += 64;
                 Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
             }
+            engine.tick_into(now, &mut out);
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Engine(c));
-            let mut out = std::mem::take(&mut self.cube_scratch[c].outbox.are_output);
             self.apply_cube_output(now, c, &mut out);
-            self.cube_scratch[c].outbox.are_output = out;
         }
-        self.cube_participants = participants;
+        self.are_output = out;
+        self.cube_inbox = inbox;
+        self.cube_deliveries = deliveries;
 
         let Backend::Hmc(hmc) = &mut self.backend else { return };
         let hmc = hmc.as_mut();
 
-        // 2. Advance the cubes and collect vault completions: one tick per
-        // cube shard that is due — or was stimulated earlier this cycle
+        // 2. Advance the cubes and collect vault completions in pop order:
+        // every cube that is due — or was stimulated earlier this cycle
         // (sub-phase 1 pushes vault requests whose crossbar latency may be
-        // zero). Same placement rule as sub-phase 1: the job vector only
-        // exists for a pool dispatch.
-        let mut participants = std::mem::take(&mut self.cube_participants);
-        participants.clear();
-        for c in 0..hmc.cubes.len() {
-            if is_due(SysKey::Cube(c)) || self.arm_flags[Self::key_slot(SysKey::Cube(c))] {
-                participants.push(c);
-            }
-        }
-        if pool.is_some() && participants.len() >= PARALLEL_BATCH_MIN {
-            let mut jobs: Vec<VaultDrainJob<'_>> = Vec::with_capacity(participants.len());
-            let mut next = participants.iter().peekable();
-            for ((c, cube), scratch) in
-                hmc.cubes.iter_mut().enumerate().zip(self.cube_scratch.iter_mut())
-            {
-                if next.peek() == Some(&&c) {
-                    next.next();
-                    jobs.push(VaultDrainJob { cube, scratch });
-                }
-            }
-            run_shard_jobs(pool, &mut jobs, |job| job.tick(now));
-        } else {
-            for &c in &participants {
-                VaultDrainJob { cube: &mut hmc.cubes[c], scratch: &mut self.cube_scratch[c] }
-                    .tick(now);
-            }
-        }
+        // zero).
         let mut vault_completions = std::mem::take(&mut self.completion_scratch);
-        for &c in &participants {
-            let scratch = &mut self.cube_scratch[c];
-            vault_completions.extend(scratch.completions.drain(..).map(|resp| (c, resp)));
+        for (c, cube) in hmc.cubes.iter_mut().enumerate() {
+            if !is_due(SysKey::Cube(c)) && !self.arm_flags[Self::key_slot(SysKey::Cube(c))] {
+                continue;
+            }
+            cube.wake(now, &mut ctx);
+            while let Some(resp) = cube.pop_response(now) {
+                vault_completions.push((c, resp));
+            }
             Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Cube(c));
         }
-        self.cube_participants = participants;
         let mut are_outputs = std::mem::take(&mut self.are_scratch);
         for (c, resp) in vault_completions.drain(..) {
             match self.vault_purpose.remove(&resp.id) {
@@ -2604,7 +2376,7 @@ mod tests {
             if event {
                 wakes.pop_due_into(now, &mut sys.due_flags);
             }
-            sys.step(now, event, &mut wakes, &mut hub, None);
+            sys.step(now, event, &mut wakes, &mut hub);
         }
     }
 

@@ -72,48 +72,6 @@ fn bench_kernel_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling of the sharded event-driven kernel: the scheduler
-/// partitions the system into shards (cores | network | per-cube) and ticks
-/// due cube shards on a worker pool, with per-shard outboxes merged in cube
-/// order — reports are byte-identical at every thread count (asserted by the
-/// equivalence suite), so only the wall clock varies here. Requests are
-/// clamped to the host's parallelism: on a small machine the higher counts
-/// degrade to the serial kernel and the rows should read as parity. The
-/// offload configurations (engine + vault work per cube) are where extra
-/// threads can pay off; quick-scale and memory-only runs mostly measure that
-/// the sharding machinery costs nothing.
-fn bench_kernel_threads(c: &mut Criterion) {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    let scales: [(&str, ar_types::config::SystemConfig, SizeClass, usize); 2] = [
-        ("quick", BENCH_SCALE.system_config(), SizeClass::Small, 10),
-        ("paper", ar_experiments::ExperimentScale::Full.system_config(), SizeClass::Paper, 3),
-    ];
-    for (scale, base, size, samples) in scales {
-        let mut group = c.benchmark_group(format!("kernel_threads_{scale}"));
-        group.sample_size(samples);
-        for (name, workload) in [
-            ("pagerank", WorkloadKind::Pagerank),
-            ("spmv", WorkloadKind::Spmv),
-            ("sgemm", WorkloadKind::Sgemm),
-        ] {
-            for threads in THREADS {
-                let build = || {
-                    Simulation::builder()
-                        .config(base.clone())
-                        .named(NamedConfig::ArfTid)
-                        .workload(workload)
-                        .size(size)
-                        .threads(threads)
-                        .build()
-                        .expect("valid configuration")
-                };
-                group.bench_function(&format!("{name}_t{threads}"), |b| b.iter(|| build().run()));
-            }
-        }
-        group.finish();
-    }
-}
-
 /// Bulk compute fast-forwarding on the workload shape it targets: long
 /// compute blocks between cache misses (`bench::ComputeBursts`). The event
 /// kernel computes each block's retire/issue schedule in closed form and
@@ -285,7 +243,7 @@ fn bench_kernel_checkpoint(c: &mut Criterion) {
     // prefix + three resumed tails, vs three cold full runs.
     let variants = [
         CellKnobs::default(),
-        CellKnobs { threads: 4, ..CellKnobs::default() },
+        CellKnobs { drain_fast_forward: Some(false), ..CellKnobs::default() },
         CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
     ];
     let cell = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Small);
@@ -343,7 +301,6 @@ criterion_group!(
     simulator,
     bench_single_runs,
     bench_kernel_throughput,
-    bench_kernel_threads,
     bench_kernel_fastforward,
     bench_kernel_offload,
     bench_kernel_weak_scaling,

@@ -100,48 +100,6 @@ fn event_driven_does_not_regress_past_lockstep_on_pagerank() {
     );
 }
 
-fn build_paper(threads: usize) -> ar_system::System {
-    Simulation::builder()
-        .config(ar_experiments::ExperimentScale::Full.system_config())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Paper)
-        .threads(threads)
-        .build()
-        .expect("valid configuration")
-        .into_system()
-}
-
-/// The sharded kernel must not cost wall-clock on paper-scale pagerank:
-/// `threads(4)` — clamped to the host's parallelism by the builder — may not
-/// run meaningfully slower than the single-threaded event kernel, and must
-/// produce the identical report. On a multi-core host this gates the
-/// dispatch overhead of the worker pool (and any win shows up in the
-/// `kernel_threads_paper` bench group); on a single-CPU host the clamp makes
-/// the two builds identical and the gate checks exactly that degradation.
-/// The 15% head-room absorbs scheduler noise on shared runners — the gate is
-/// for pathological regressions (a mis-tuned dispatch threshold, a pool that
-/// parks and wakes per cycle), not for micro-variance.
-#[test]
-fn sharded_threads_do_not_regress_on_paper_scale_pagerank() {
-    let _ = build_paper(1).run();
-    let reports = RefCell::new(Vec::new());
-    let (serial, sharded) =
-        ab_best_of(3, || timed(build_paper(1), &reports), || timed(build_paper(4), &reports));
-    println!(
-        "paper-scale pagerank/ARF-tid: threads=1 {:?} vs threads=4 {:?} ({:.2}x)",
-        serial,
-        sharded,
-        serial.as_secs_f64() / sharded.as_secs_f64()
-    );
-    assert_reports_agree(&reports, "thread count");
-    assert!(
-        sharded.as_secs_f64() <= serial.as_secs_f64() * 1.15,
-        "sharded kernel (threads=4) regressed past the single-threaded kernel: \
-         {sharded:?} vs {serial:?}"
-    );
-}
-
 fn build_paper_ff(fast_forward: bool) -> ar_system::System {
     Simulation::builder()
         .config(ar_experiments::ExperimentScale::Full.system_config())

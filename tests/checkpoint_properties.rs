@@ -14,8 +14,7 @@
 //!   flow tables at arbitrary depths;
 //! * random split cycles drawn uniformly from each run's *actual* length
 //!   (measured by a full pre-run), so every snapshot lands mid-flight;
-//! * restores onto the event-driven kernel, the lock-step reference and
-//!   the sharded kernel (`threads ∈ {1, 4}`);
+//! * restores onto the event-driven kernel and the lock-step reference;
 //! * stacked snapshots: re-checkpointing a restored run at a later cycle
 //!   must compose (restore-of-restore equals the straight run);
 //! * hostile bytes: truncations and field corruptions of the serialized
@@ -53,7 +52,7 @@ fn wire_checkpoint(sim: &Simulation) -> Checkpoint {
     ck
 }
 
-/// A deferred builder for one restore target (a kernel/thread-count combo).
+/// A deferred builder for one restore target (a kernel).
 type KernelBuilder<'a> = Box<dyn Fn() -> SimulationBuilder + 'a>;
 
 fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
@@ -67,7 +66,7 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
 
 /// The main differential sweep: random geometries × workloads × split
 /// cycles, each snapshot restored through the wire form onto the default
-/// event-driven kernel, the lock-step reference and the sharded kernel.
+/// event-driven kernel and the lock-step reference.
 #[test]
 fn random_mid_run_snapshots_restore_byte_identically_across_kernels() {
     let kinds =
@@ -100,12 +99,8 @@ fn random_mid_run_snapshots_restore_byte_identically_across_kernels() {
         assert!(!ck.completed, "{label}: a mid-run snapshot is not quiesced");
         drop(warm);
 
-        let restores: [(&str, KernelBuilder); 4] = [
-            ("event kernel", Box::new(&build)),
-            ("lock-step", Box::new(|| build().lockstep())),
-            ("threads=1", Box::new(|| build().threads(1))),
-            ("threads=4", Box::new(|| build().threads(4))),
-        ];
+        let restores: [(&str, KernelBuilder); 2] =
+            [("event kernel", Box::new(&build)), ("lock-step", Box::new(|| build().lockstep()))];
         for (kernel, builder) in restores {
             let resumed =
                 builder().from_checkpoint(ck.clone()).build().expect("valid restore").run();

@@ -15,8 +15,7 @@
 //!   computes, two-operand ops and gathers, so windows end on every
 //!   abort/stop condition the planner has;
 //! * IPC sample probes ([`Sample`] streams compared sample-for-sample, the
-//!   boundaries windows must split at) and random `max_cycles` truncations;
-//! * the sharded kernel (`threads(2)`) on top of the planner.
+//!   boundaries windows must split at) and random `max_cycles` truncations.
 
 use active_routing_repro::ar_sim::SimRng;
 use active_routing_repro::ar_system::{
@@ -118,8 +117,8 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
 }
 
 /// The main differential sweep: random core shapes × random command mixes,
-/// each run with the planner on, off, under the lock-step reference and on
-/// the sharded kernel — four byte-identical reports per case.
+/// each run with the planner on, off and under the lock-step reference —
+/// three byte-identical reports per case.
 #[test]
 fn drain_planner_is_byte_identical_across_kernels_and_shapes() {
     let mut rng = SimRng::seed_from_u64(0xD4A1_FF5D);
@@ -139,8 +138,6 @@ fn drain_planner_is_byte_identical_across_kernels_and_shapes() {
         assert_reports_identical(&on, &off, &format!("case {case}: planner on vs off"));
         let lockstep = build().lockstep().build().expect("valid").run();
         assert_reports_identical(&on, &lockstep, &format!("case {case}: planner vs lock-step"));
-        let sharded = build().drain_fast_forward(true).threads(2).build().expect("valid").run();
-        assert_reports_identical(&on, &sharded, &format!("case {case}: planner @ threads=2"));
     }
 }
 

@@ -48,25 +48,15 @@ fn fixture_path(config: NamedConfig, kind: WorkloadKind, size: SizeClass) -> Pat
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
-fn simulate_threads(
-    config: NamedConfig,
-    kind: WorkloadKind,
-    size: SizeClass,
-    threads: usize,
-) -> SimReport {
+fn simulate(config: NamedConfig, kind: WorkloadKind, size: SizeClass) -> SimReport {
     Simulation::builder()
         .config(quick_cfg())
         .named(config)
         .workload(kind)
         .size(size)
-        .threads(threads)
         .build()
         .expect("valid configuration")
         .run()
-}
-
-fn simulate(config: NamedConfig, kind: WorkloadKind, size: SizeClass) -> SimReport {
-    simulate_threads(config, kind, size, 1)
 }
 
 #[test]
@@ -111,37 +101,13 @@ fn golden_corpus_matches_fixtures() {
     }
 }
 
-/// The sharded parallel kernel must reproduce the frozen corpus *unchanged*:
-/// the fixtures were recorded single-threaded, so any thread-count-dependent
-/// behaviour (an order-sensitive outbox merge, a shard job leaking outside
-/// its shard) fails against the exact same bytes the serial kernel pins.
-/// Skipped under `UPDATE_GOLDEN=1` — fixtures are only ever regenerated from
-/// the single-threaded kernel.
-#[test]
-fn golden_corpus_matches_fixtures_with_four_threads() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
-        eprintln!("UPDATE_GOLDEN=1: skipping the threads=4 comparison (regeneration mode)");
-        return;
-    }
-    for (config, kind, size) in CELLS {
-        let label = format!("{kind}/{config}/{size} @ threads=4");
-        let report = simulate_threads(config, kind, size, 4);
-        let path = fixture_path(config, kind, size);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{label}: missing fixture {} ({e})", path.display()));
-        let golden = SimReport::from_json(&Json::parse(&text).expect("well-formed fixture JSON"))
-            .expect("fixture must deserialize");
-        assert_eq!(report, golden, "{label}: sharded kernel drifted from the golden fixture");
-    }
-}
-
 /// Bulk compute fast-forwarding must reproduce the frozen corpus
 /// *unchanged*: the analytic retire/issue schedule (and the end-of-stream
 /// ROB drain it also covers) is a pure wall-clock optimisation, so forcing
 /// it on — the builder's stats-driven default keeps it off for these
 /// short-block workloads — must match the exact bytes the per-cycle issue
-/// path pinned. Skipped under `UPDATE_GOLDEN=1` like the threads
-/// comparison.
+/// path pinned. Skipped under `UPDATE_GOLDEN=1`, where fixtures are
+/// regenerated from the default kernel.
 #[test]
 fn golden_corpus_matches_fixtures_with_fast_forward() {
     if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
@@ -174,7 +140,7 @@ fn golden_corpus_matches_fixtures_with_fast_forward() {
 /// would have produced, so forcing the planner on — the builder's default
 /// keeps it off for cells that never offload — must match the exact bytes
 /// the per-cycle MI-pop path pinned. Skipped under `UPDATE_GOLDEN=1` like
-/// the threads comparison.
+/// the fast-forward comparison.
 #[test]
 fn golden_corpus_matches_fixtures_with_drain_fast_forward() {
     if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {

@@ -16,17 +16,6 @@
 //! workloads × all six named configurations** at quick scale, one test per
 //! workload, with every assertion naming its (workload, config) cell.
 //!
-//! The matrix also carries a **sharded axis**: every cell additionally runs
-//! the event-driven kernel with `threads(2)` and `threads(4)` — due cube
-//! shards ticking on the worker pool, cross-shard effects merged through the
-//! per-shard outboxes — and those reports must be byte-identical to the
-//! single-threaded ones. A divergence here means an outbox merge is
-//! order-sensitive or a shard job touched state outside its shard. The
-//! builder clamps thread requests to the host's parallelism, so a dedicated
-//! test additionally forces the worker pool through the unclamped
-//! `System::with_threads`, guaranteeing the pool path runs with real worker
-//! threads even on a single-CPU machine.
-//!
 //! Finally every cell carries a **snapshot/restore axis**: the run is
 //! split at its halfway cycle through a [`Checkpoint`] round-tripped
 //! through its serialized JSON form (exactly like a restore from disk),
@@ -83,73 +72,45 @@ fn assert_identical(event: &SimReport, lockstep: &SimReport, label: &str) {
     assert_eq!(event, lockstep, "{label}: full report");
 }
 
-/// The thread counts of the sharded axis (1 is the plain event kernel the
-/// lock-step comparison already covers).
-const SHARDED_THREADS: [usize; 2] = [2, 4];
-
-/// The thread counts of the fast-forward axes (compute and offload-drain).
-const FAST_FORWARD_THREADS: [usize; 2] = [1, 4];
-
 /// Shared matrix helper: runs one workload under every named configuration
 /// (the five plotted ones plus ARF-tid-adaptive) with both kernels and
 /// asserts identical reports, naming the failing (workload, config) cell.
-/// Each cell then re-runs the event-driven kernel at `threads ∈ {2, 4}` and
-/// requires byte-identical reports from the sharded parallel kernel too,
-/// and finally sweeps the **fast-forward axis**: bulk compute
-/// fast-forwarding forced on and off at `threads ∈ {1, 4}` (the builder's
-/// default is decided by the workload's compute-block statistics, so both
-/// forced modes genuinely differ from some default) — the analytic
-/// retire/issue schedule may never change a single report byte.
+/// Each cell then sweeps the **fast-forward axis**: bulk compute
+/// fast-forwarding forced on and off (the builder's default is decided by
+/// the workload's compute-block statistics, so both forced modes genuinely
+/// differ from some default) — the analytic retire/issue schedule may never
+/// change a single report byte.
 ///
 /// The final sweep is the **offload-drain axis**: the closed-form drain
-/// planner forced on and off at `threads ∈ {1, 4}` (the builder's default
-/// enables it exactly when the workload offloads, so both forced modes
-/// differ from some default). A planned drain window replays the whole
-/// MI-full interval — retire/issue schedules, Message-Interface pops, host
-/// submissions, stall attribution — from the scalar model, and none of it
-/// may change a single report byte.
+/// planner forced on and off (the builder's default enables it exactly when
+/// the workload offloads, so both forced modes differ from some default). A
+/// planned drain window replays the whole MI-full interval — retire/issue
+/// schedules, Message-Interface pops, host submissions, stall attribution —
+/// from the scalar model, and none of it may change a single report byte.
 fn assert_workload_equivalence(kind: WorkloadKind) {
     for named in NamedConfig::ALL_WITH_ADAPTIVE {
         let (event, lockstep) = run_both(named, kind, SizeClass::Tiny);
         assert!(event.completed, "{kind}/{named}: run must finish within the cycle limit");
         assert_identical(&event, &lockstep, &format!("{kind}/{named}"));
-        for threads in SHARDED_THREADS {
-            let sharded = builder(named, kind, SizeClass::Tiny)
-                .threads(threads)
+        for ff in [true, false] {
+            let fast = builder(named, kind, SizeClass::Tiny)
+                .fast_forward(ff)
                 .build()
                 .expect("valid configuration")
                 .run();
-            assert_identical(&event, &sharded, &format!("{kind}/{named} @ threads={threads}"));
-        }
-        for ff in [true, false] {
-            for threads in FAST_FORWARD_THREADS {
-                let fast = builder(named, kind, SizeClass::Tiny)
-                    .fast_forward(ff)
-                    .threads(threads)
-                    .build()
-                    .expect("valid configuration")
-                    .run();
-                assert_identical(
-                    &event,
-                    &fast,
-                    &format!("{kind}/{named} @ fast_forward={ff} threads={threads}"),
-                );
-            }
+            assert_identical(&event, &fast, &format!("{kind}/{named} @ fast_forward={ff}"));
         }
         for dff in [true, false] {
-            for threads in FAST_FORWARD_THREADS {
-                let drained = builder(named, kind, SizeClass::Tiny)
-                    .drain_fast_forward(dff)
-                    .threads(threads)
-                    .build()
-                    .expect("valid configuration")
-                    .run();
-                assert_identical(
-                    &event,
-                    &drained,
-                    &format!("{kind}/{named} @ drain_fast_forward={dff} threads={threads}"),
-                );
-            }
+            let drained = builder(named, kind, SizeClass::Tiny)
+                .drain_fast_forward(dff)
+                .build()
+                .expect("valid configuration")
+                .run();
+            assert_identical(
+                &event,
+                &drained,
+                &format!("{kind}/{named} @ drain_fast_forward={dff}"),
+            );
         }
         // The snapshot/restore axis: split the cell at its halfway cycle,
         // round-trip the checkpoint through its serialized form and resume;
@@ -245,36 +206,6 @@ fn late_gather_completions_after_core_retirement_keep_kernels_equivalent() {
     }
 }
 
-/// The builder clamps thread requests to the host's available parallelism,
-/// so on a small CI machine the sharded axis above may resolve to the inline
-/// path. This test forces the worker pool through the unclamped low-level
-/// `System::with_threads` on representative cells, so pool-executed shard
-/// jobs and the cube-order outbox merges run with *real worker threads* on
-/// any host — and must still be byte-identical to the serial kernel.
-#[test]
-fn forced_worker_pool_is_byte_identical_on_any_host() {
-    for (named, kind) in [
-        (NamedConfig::ArfTid, WorkloadKind::Pagerank),
-        (NamedConfig::Art, WorkloadKind::Reduce),
-        (NamedConfig::Hmc, WorkloadKind::Spmv),
-    ] {
-        let serial = builder(named, kind, SizeClass::Tiny).build().expect("valid").run();
-        for threads in SHARDED_THREADS {
-            let forced = builder(named, kind, SizeClass::Tiny)
-                .build()
-                .expect("valid")
-                .into_system()
-                .with_threads(threads)
-                .run();
-            assert_identical(
-                &serial,
-                &forced,
-                &format!("{kind}/{named} forced pool @ threads={threads}"),
-            );
-        }
-    }
-}
-
 /// The cycle limit must cut both kernels off at the same point with the same
 /// (incomplete) statistics — including the stall intervals of cores that are
 /// still parked when the limit strikes, which the event-driven kernel settles
@@ -299,20 +230,6 @@ fn cycle_limit_truncates_both_kernels_identically() {
     assert!(!event.completed, "500 cycles must not be enough");
     assert_identical(&event, &lockstep, "truncated pagerank/ARF-tid");
     assert_eq!(event.network_cycles, 500);
-    // The sharded kernel must be cut off at the identical point, including
-    // the still-parked cores' settled stall intervals.
-    for threads in SHARDED_THREADS {
-        let sharded = Simulation::builder()
-            .config(cfg.clone())
-            .named(NamedConfig::ArfTid)
-            .workload(WorkloadKind::Pagerank)
-            .size(SizeClass::Tiny)
-            .threads(threads)
-            .build()
-            .expect("valid")
-            .run();
-        assert_identical(&event, &sharded, &format!("truncated pagerank @ threads={threads}"));
-    }
     // Forced fast-forwarding must settle any interval the limit cuts
     // through to the identical truncated numbers.
     for ff in [true, false] {
@@ -360,21 +277,6 @@ fn observer_stop_truncates_both_kernels_identically() {
         let lockstep = run(true);
         assert!(!event.completed, "deadline {deadline} must cut the small run short");
         assert_identical(&event, &lockstep, &format!("deadline-{deadline} pagerank/ARF-tid"));
-        // Observer-driven stops land on the same cycle with the same
-        // statistics when cube shards tick on the worker pool.
-        for threads in SHARDED_THREADS {
-            let sharded = builder(NamedConfig::ArfTid, WorkloadKind::Pagerank, SizeClass::Small)
-                .observer(DeadlineStop::at(deadline))
-                .threads(threads)
-                .build()
-                .expect("valid")
-                .run();
-            assert_identical(
-                &event,
-                &sharded,
-                &format!("deadline-{deadline} pagerank @ threads={threads}"),
-            );
-        }
         // Windows never arm while an observer has stopped the run, and the
         // stop boundary can never land inside a window (drain arming is
         // excluded on IPC boundaries, where deadline stops fire) — forced-on
