@@ -927,8 +927,14 @@ impl ActiveRoutingEngine {
         for entry in doc.req_array("pending_reads")? {
             let key = entry.req_hex_u64("key")?;
             let purpose = ReadPurpose::state_from_json(entry.req("purpose")?)?;
-            if let ReadPurpose::RemoteOperand { requester, .. } = purpose {
+            if let ReadPurpose::RemoteOperand { requester, slot, .. } = purpose {
                 self.topology.check_node(requester, || "remote read requester".to_string())?;
+                if let Some(slot) = slot.filter(|slot| NetNode::Cube(slot.cube) != requester) {
+                    return Err(JsonError::state(format!(
+                        "remote read operand slot is on {} but its requester is {requester}",
+                        slot.cube
+                    )));
+                }
             }
             if self.pending_reads.insert(key, purpose).is_some() {
                 return Err(JsonError::state("duplicate pending-read key in engine state"));
@@ -1740,6 +1746,40 @@ mod tests {
         let hostile = Json::parse(&rendered.replacen("\"which\":0", "\"which\":7", 1)).unwrap();
         let mut fresh = ActiveRoutingEngine::new(CubeId::new(0), &cfg, topo(), map());
         assert!(fresh.load_state(&hostile).is_err());
+    }
+
+    #[test]
+    fn load_state_rejects_a_remote_read_slot_off_its_requester() {
+        // Cube 0 serves an operand for cube 1's slot 0. The read's slot must
+        // stay on cube 1: a snapshot naming another cube, in range or not,
+        // is rejected.
+        let mut eng = engine(0);
+        let req = Packet::new(
+            11,
+            NetNode::Cube(CubeId::new(1)),
+            NetNode::Cube(CubeId::new(0)),
+            PacketKind::Active(ActiveKind::OperandReq {
+                flow: flow(0x40),
+                slot: Some(OperandSlot { cube: CubeId::new(1), index: 0 }),
+                addr: Addr::new(0x700),
+                which: 0,
+                update_id: 40,
+                op: ReduceOp::Mac,
+            }),
+            0,
+        );
+        eng.handle_packet(0, req);
+        let rendered = eng.state_to_json().render();
+        engine(0).load_state(&Json::parse(&rendered).unwrap()).expect("the snapshot restores");
+        let slot = r#""slot":{"cube":1,"index":0}"#;
+        assert!(rendered.contains(slot), "{rendered}");
+        for cube in [2, 99] {
+            let moved = rendered.replace(slot, &format!(r#""slot":{{"cube":{cube},"index":0}}"#));
+            let err = engine(0).load_state(&Json::parse(&moved).unwrap()).unwrap_err().to_string();
+            let expected =
+                format!("remote read operand slot is on cube{cube} but its requester is cube1");
+            assert!(err.contains(&expected), "expected {expected:?}, got: {err}");
+        }
     }
 
     #[test]

@@ -7,32 +7,40 @@
 //! link I/Os, the vault controllers — and, in this work, the Active-Routing
 //! Engine.
 //!
-//! This crate models the memory side of a cube: per-vault request queues,
-//! per-bank occupancy, TSV/DRAM access latency, and the crossbar traversal
-//! latency. The network side (SerDes links between cubes) lives in
-//! `ar-network`, and the ARE lives in `active-routing`.
+//! This crate models the memory side of a cube: per-vault admission into a
+//! bounded controller queue, the one-per-cycle TSV command bus, per-bank
+//! occupancy, DRAM access latency, and the crossbar traversal latency. The
+//! network side (SerDes links between cubes) lives in `ar-network`, and the
+//! ARE lives in `active-routing`.
+//!
+//! All of that timing is a pure function of push order, so
+//! [`HmcCube::try_push`] computes an access's timing when the request is
+//! pushed. The response waits on the cube's calendar until it is due back
+//! at the link side; the cube itself does no per-cycle work.
 //!
 //! # Example
 //!
 //! ```
 //! use ar_hmc::{HmcCube, VaultRequest};
+//! use ar_sim::NextWake;
 //! use ar_types::config::HmcConfig;
 //! use ar_types::{Addr, CubeId};
 //!
-//! let mut cube = HmcCube::new(CubeId::new(0), &HmcConfig::default(), 16);
+//! let cfg = HmcConfig::default();
+//! let mut cube = HmcCube::new(CubeId::new(0), &cfg, 16);
 //! cube.try_push(0, VaultRequest::read(1, Addr::new(0x40))).unwrap();
-//! let mut id = None;
-//! for cycle in 0..200 {
-//!     cube.tick(cycle);
-//!     if let Some(resp) = cube.pop_response(cycle) {
-//!         id = Some(resp.id);
-//!     }
-//! }
-//! assert_eq!(id, Some(1));
+//! // Two crossbar traversals plus the bank access.
+//! let due = 2 * cfg.crossbar_latency + cfg.vault_access_latency;
+//! assert_eq!(cube.next_wake(), NextWake::At(due));
+//! assert_eq!(cube.pop_response(due - 1), None);
+//! assert_eq!(cube.pop_response(due).map(|resp| resp.id), Some(1));
+//! assert!(cube.is_idle());
 //! ```
 
 pub mod cube;
+#[cfg(test)]
+mod reference;
 pub mod vault;
 
 pub use cube::HmcCube;
-pub use vault::{Vault, VaultRequest, VaultResponse};
+pub use vault::{VaultRequest, VaultResponse};

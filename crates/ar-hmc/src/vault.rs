@@ -1,10 +1,8 @@
-//! A single HMC vault: its controller queue and DRAM banks.
+//! A single HMC vault: its controller's admission and issue cursors.
 
-use ar_sim::{Component, LatencyQueue, NextWake, SchedCtx};
 use ar_types::config::HmcConfig;
 use ar_types::json::{Json, JsonError};
 use ar_types::{Addr, Cycle};
-use std::collections::VecDeque;
 
 /// A memory request presented to a vault controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,29 +25,6 @@ impl VaultRequest {
     pub fn write(id: u64, addr: Addr) -> Self {
         VaultRequest { id, addr, is_write: true }
     }
-
-    /// Encodes the request for checkpointed state (ids carry tag bits, so
-    /// they travel as hex).
-    pub fn state_to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::hex_u64(self.id)),
-            ("addr", Json::hex_u64(self.addr.as_u64())),
-            ("w", Json::from(self.is_write)),
-        ])
-    }
-
-    /// Decodes a request produced by [`VaultRequest::state_to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
-    pub fn state_from_json(doc: &Json) -> Result<VaultRequest, JsonError> {
-        Ok(VaultRequest {
-            id: doc.req_hex_u64("id")?,
-            addr: Addr::new(doc.req_hex_u64("addr")?),
-            is_write: doc.req_bool("w")?,
-        })
-    }
 }
 
 /// A completed vault access.
@@ -66,7 +41,8 @@ pub struct VaultResponse {
 }
 
 impl VaultResponse {
-    /// Encodes the response for checkpointed state.
+    /// Encodes the response for checkpointed state (ids carry tag bits, so
+    /// they travel as hex).
     pub fn state_to_json(&self) -> Json {
         Json::obj([
             ("id", Json::hex_u64(self.id)),
@@ -91,382 +67,285 @@ impl VaultResponse {
     }
 }
 
-/// One vault: a bounded controller queue plus per-bank busy tracking.
-#[derive(Debug)]
-pub struct Vault {
-    queue: VecDeque<VaultRequest>,
-    bank_busy_until: Vec<Cycle>,
-    completed: LatencyQueue<VaultResponse>,
-    banks: usize,
-    access_latency: Cycle,
-    bank_occupancy: Cycle,
-    bank_busy_penalty: Cycle,
-    queue_depth: usize,
+/// One vault controller, reduced to the cursors that fix each access's
+/// timing. Requests reach it in push order with non-decreasing arrival
+/// cycles. It admits them first come first served, at most
+/// `vault_queue_depth` per cycle, and issues one per cycle on the TSV
+/// command bus. Its banks' busy-until cycles live in the cube's flat bank
+/// array.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Vault {
+    /// The last cycle at which the controller admitted a request.
+    admitted_at: Cycle,
+    /// Requests admitted at `admitted_at`, at most the queue depth.
+    admitted: usize,
     /// Earliest cycle at which the TSV command bus can issue the next
-    /// request (one issue per cycle). Lets [`Vault::tick`] drain the whole
-    /// backlog in one wake by assigning each request its virtual issue
-    /// cycle, instead of being re-woken every cycle while queued.
+    /// request.
     next_issue_at: Cycle,
     accesses: u64,
     bank_conflicts: u64,
 }
 
+/// The timing of one access, fixed when its request is pushed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Access {
+    /// Cycle at which the controller admitted the request.
+    pub(crate) admitted: Cycle,
+    /// Cycle at which the bank access completed.
+    pub(crate) done: Cycle,
+}
+
 impl Vault {
-    /// Creates a vault from the cube configuration.
-    pub fn new(cfg: &HmcConfig) -> Self {
-        // Reserve both queues up front: the controller queue is bounded by
-        // its configured depth, and the batch drain can move a full
-        // controller queue into the completion queue while a previous
-        // batch's accesses are still completing, so two queue depths plus
-        // one access per bank covers the completion queue's occupancy.
-        Vault {
-            queue: VecDeque::with_capacity(cfg.vault_queue_depth),
-            bank_busy_until: vec![0; cfg.banks_per_vault],
-            completed: LatencyQueue::with_capacity(
-                2 * (cfg.vault_queue_depth + cfg.banks_per_vault),
-            ),
-            banks: cfg.banks_per_vault,
-            access_latency: cfg.vault_access_latency,
-            bank_occupancy: cfg.bank_occupancy,
-            bank_busy_penalty: cfg.bank_busy_penalty,
-            queue_depth: cfg.vault_queue_depth,
-            next_issue_at: 0,
-            accesses: 0,
-            bank_conflicts: 0,
-        }
-    }
-
-    /// Returns true if the controller queue has room.
-    pub fn can_accept(&self) -> bool {
-        self.queue.len() < self.queue_depth
-    }
-
-    /// Current controller queue occupancy.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Enqueues a request; returns false if the queue is full.
-    pub fn push(&mut self, req: VaultRequest) -> bool {
-        if !self.can_accept() {
-            return false;
-        }
-        self.queue.push_back(req);
-        true
-    }
-
-    fn bank_of(&self, addr: Addr) -> usize {
-        (addr.block_index() % self.banks as u64) as usize
-    }
-
-    /// Advances the vault controller: drains *every* queued request in one
-    /// batch, charging each its issue cycle on the one-per-cycle TSV command
-    /// bus.
-    ///
-    /// The TSV command bandwidth still admits only one issue per cycle, so
-    /// the `k`-th queued request is issued at virtual cycle
-    /// `max(now, next_issue_cursor) + k` with the per-bank busy/penalty rules
-    /// applied in that order — exactly the cycle a per-cycle driver would
-    /// have issued it at, because arrivals are FIFO and a request arriving
-    /// mid-backlog queues *behind* the already-virtual-issued ones (the
-    /// cursor persists across wakes). Draining the backlog in one wake means
-    /// the vault never needs per-cycle re-arms while queued: after a drain
-    /// its only future event is a completion ([`Vault::next_completion_at`]).
-    pub fn tick(&mut self, now: Cycle) {
-        let mut issue_at = self.next_issue_at.max(now);
-        while let Some(head) = self.queue.pop_front() {
-            let bank = self.bank_of(head.addr);
-            let busy_until = self.bank_busy_until[bank];
-            let conflict = busy_until > issue_at;
-            let start = if conflict { busy_until + self.bank_busy_penalty } else { issue_at };
-            if conflict {
-                self.bank_conflicts += 1;
-            }
-            let done = start + self.access_latency;
-            self.bank_busy_until[bank] = start + self.bank_occupancy.max(1);
-            self.accesses += 1;
-            self.completed.push_at(
-                done,
-                VaultResponse {
-                    id: head.id,
-                    addr: head.addr,
-                    is_write: head.is_write,
-                    completed_at: done,
-                },
-            );
-            issue_at += 1;
-        }
-        self.next_issue_at = issue_at;
-    }
-
-    /// Removes one completed access available by `now`.
-    pub fn pop_response(&mut self, now: Cycle) -> Option<VaultResponse> {
-        self.completed.pop_ready(now)
-    }
-
-    /// Returns true if requests are waiting in the controller queue.
-    pub fn has_queued(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
-    /// Completion cycle of the earliest outstanding access, if any.
-    pub fn next_completion_at(&self) -> Option<Cycle> {
-        self.completed.next_ready_at()
+    /// Admits a request that reaches the controller at `arrival` and issues
+    /// it to its bank. `banks` holds this vault's bank busy-until cycles.
+    pub(crate) fn access(
+        &mut self,
+        arrival: Cycle,
+        addr: Addr,
+        banks: &mut [Cycle],
+        cfg: &HmcConfig,
+    ) -> Access {
+        let admitted = if arrival > self.admitted_at {
+            self.admitted = 1;
+            arrival
+        } else if self.admitted < cfg.vault_queue_depth {
+            self.admitted += 1;
+            self.admitted_at
+        } else {
+            self.admitted = 1;
+            self.admitted_at + 1
+        };
+        self.admitted_at = admitted;
+        let issue_at = self.next_issue_at.max(admitted);
+        self.next_issue_at = issue_at + 1;
+        let bank = &mut banks[(addr.block_index() % banks.len() as u64) as usize];
+        let start = if *bank > issue_at {
+            self.bank_conflicts += 1;
+            *bank + cfg.bank_busy_penalty
+        } else {
+            issue_at
+        };
+        *bank = start + cfg.bank_occupancy.max(1);
+        self.accesses += 1;
+        Access { admitted, done: start + cfg.vault_access_latency }
     }
 
     /// Total accesses served.
-    pub fn accesses(&self) -> u64 {
+    pub(crate) fn accesses(&self) -> u64 {
         self.accesses
     }
 
     /// Accesses that had to wait for a busy bank.
-    pub fn bank_conflicts(&self) -> u64 {
+    pub(crate) fn bank_conflicts(&self) -> u64 {
         self.bank_conflicts
     }
 
-    /// Returns true if no work is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.completed.is_empty()
-    }
-
-    /// Serializes the vault's dynamic state (queue contents, bank cursors,
-    /// in-flight completions, counters). Configuration-derived fields travel
-    /// as code, not data.
-    pub fn state_to_json(&self) -> Json {
+    /// Serializes the vault's cursors and counters together with its bank
+    /// busy-until cycles.
+    pub(crate) fn state_to_json(&self, banks: &[Cycle]) -> Json {
         Json::obj([
-            ("queue", Json::Arr(self.queue.iter().map(VaultRequest::state_to_json).collect())),
-            (
-                "bank_busy_until",
-                Json::Arr(self.bank_busy_until.iter().map(|&c| Json::from(c)).collect()),
-            ),
-            (
-                "completed",
-                Json::Arr(
-                    self.completed
-                        .state_entries()
-                        .into_iter()
-                        .map(|(at, resp)| {
-                            Json::obj([("at", Json::from(at)), ("resp", resp.state_to_json())])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("admitted_at", Json::from(self.admitted_at)),
+            ("admitted", Json::from(self.admitted)),
             ("next_issue_at", Json::from(self.next_issue_at)),
+            ("bank_busy_until", Json::Arr(banks.iter().map(|&c| Json::from(c)).collect())),
             ("accesses", Json::from(self.accesses)),
             ("bank_conflicts", Json::from(self.bank_conflicts)),
         ])
     }
 
-    /// Restores dynamic state onto a freshly constructed vault.
+    /// Restores the vault's cursors, counters and bank busy-until cycles.
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] when the document is malformed or inconsistent
-    /// with this vault's configuration (queue deeper than the configured
-    /// depth, bank vector of the wrong length).
-    pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
-        let queue = doc.req_array("queue")?;
-        if queue.len() > self.queue_depth {
+    /// Returns a [`JsonError`] when the document is malformed, admits more
+    /// requests in one cycle than `queue_depth`, or lists a number of banks
+    /// other than `banks.len()`.
+    pub(crate) fn load_state(
+        &mut self,
+        doc: &Json,
+        banks: &mut [Cycle],
+        queue_depth: usize,
+    ) -> Result<(), JsonError> {
+        let admitted = doc.req_usize("admitted")?;
+        if admitted > queue_depth {
             return Err(JsonError::state(format!(
-                "vault queue holds {} requests but the configured depth is {}",
-                queue.len(),
-                self.queue_depth
+                "vault admitted {admitted} requests in one cycle but the configured queue depth \
+                 is {queue_depth}"
             )));
         }
-        let banks = doc.req_array("bank_busy_until")?;
-        if banks.len() != self.banks {
+        let busy = doc.req_array("bank_busy_until")?;
+        if busy.len() != banks.len() {
             return Err(JsonError::state(format!(
                 "bank_busy_until has {} entries but the vault has {} banks",
-                banks.len(),
-                self.banks
+                busy.len(),
+                banks.len()
             )));
         }
-        self.queue.clear();
-        for entry in queue {
-            self.queue.push_back(VaultRequest::state_from_json(entry)?);
-        }
-        for (slot, entry) in self.bank_busy_until.iter_mut().zip(banks) {
+        for (slot, entry) in banks.iter_mut().zip(busy) {
             *slot = entry
                 .as_u64()
                 .ok_or_else(|| JsonError::state("bank_busy_until entry is not a cycle"))?;
         }
-        self.completed = LatencyQueue::with_capacity(2 * (self.queue_depth + self.banks));
-        for entry in doc.req_array("completed")? {
-            let at = entry.req_u64("at")?;
-            self.completed.push_at(at, VaultResponse::state_from_json(entry.req("resp")?)?);
-        }
-        self.next_issue_at = doc.req_u64("next_issue_at")?;
-        self.accesses = doc.req_u64("accesses")?;
-        self.bank_conflicts = doc.req_u64("bank_conflicts")?;
+        *self = Vault {
+            admitted_at: doc.req_u64("admitted_at")?,
+            admitted,
+            next_issue_at: doc.req_u64("next_issue_at")?,
+            accesses: doc.req_u64("accesses")?,
+            bank_conflicts: doc.req_u64("bank_conflicts")?,
+        };
         Ok(())
-    }
-}
-
-impl Component for Vault {
-    fn next_wake(&self, now: Cycle) -> NextWake {
-        // After a wake the queue is empty (tick drains the whole batch), so
-        // the only future events are completions. A non-empty queue can only
-        // mean an external push since the last wake: drain it next cycle.
-        if self.has_queued() {
-            NextWake::At(now + 1)
-        } else {
-            NextWake::from_next(self.next_completion_at())
-        }
-    }
-
-    fn wake(&mut self, now: Cycle, _ctx: &mut SchedCtx) -> NextWake {
-        self.tick(now);
-        self.next_wake(now)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HmcCube;
+    use ar_sim::NextWake;
+    use ar_types::CubeId;
 
     fn cfg() -> HmcConfig {
         HmcConfig::default()
     }
 
+    /// A fresh vault and its banks under `cfg`.
+    fn vault(cfg: &HmcConfig) -> (Vault, Vec<Cycle>) {
+        (Vault::default(), vec![0; cfg.banks_per_vault])
+    }
+
+    /// Pushes `(arrival, address)` pairs in order and returns each access's
+    /// timing.
+    fn push(
+        (vault, banks): &mut (Vault, Vec<Cycle>),
+        cfg: &HmcConfig,
+        requests: &[(Cycle, u64)],
+    ) -> Vec<Access> {
+        requests.iter().map(|&(at, a)| vault.access(at, Addr::new(a), banks, cfg)).collect()
+    }
+
     #[test]
     fn read_completes_after_access_latency() {
-        let mut v = Vault::new(&cfg());
-        assert!(v.push(VaultRequest::read(1, Addr::new(0x40))));
-        v.tick(0);
-        assert!(v.pop_response(cfg().vault_access_latency - 1).is_none());
-        let r = v.pop_response(cfg().vault_access_latency).unwrap();
-        assert_eq!(r.id, 1);
-        assert!(v.is_idle());
+        let mut v = vault(&cfg());
+        let timings = push(&mut v, &cfg(), &[(0, 0x40)]);
+        assert_eq!(timings, [Access { admitted: 0, done: cfg().vault_access_latency }]);
+        assert_eq!(v.0.accesses(), 1);
     }
 
     #[test]
     fn bank_conflict_adds_penalty() {
-        let mut v = Vault::new(&cfg());
-        // Two accesses to the same bank (same block index modulo banks).
-        let a = Addr::new(0);
-        let b = Addr::new(64 * 32 * 8); // same bank after vault/bank interleave
-        v.push(VaultRequest::read(1, a));
-        v.push(VaultRequest::read(2, b));
-        v.tick(0);
-        v.tick(1);
-        assert_eq!(v.accesses(), 2);
-        assert_eq!(v.bank_conflicts(), 1);
+        // Two accesses to the same bank (same block index modulo banks): the
+        // second starts when the bank frees, plus the penalty.
+        let c = cfg();
+        let mut v = vault(&c);
+        let timings = push(&mut v, &c, &[(0, 0), (0, 64 * 32 * 8)]);
+        assert_eq!(v.0.accesses(), 2);
+        assert_eq!(v.0.bank_conflicts(), 1);
+        let start = c.bank_occupancy + c.bank_busy_penalty;
+        assert_eq!(timings[1].done, start + c.vault_access_latency);
     }
 
     #[test]
     fn different_banks_do_not_conflict() {
-        let mut v = Vault::new(&cfg());
-        v.push(VaultRequest::read(1, Addr::new(0)));
-        v.push(VaultRequest::read(2, Addr::new(64)));
-        v.tick(0);
-        v.tick(1);
-        assert_eq!(v.bank_conflicts(), 0);
+        let mut v = vault(&cfg());
+        push(&mut v, &cfg(), &[(0, 0), (0, 64)]);
+        assert_eq!(v.0.bank_conflicts(), 0);
     }
 
     #[test]
     fn batch_drain_charges_one_issue_per_cycle() {
-        // Three requests to three different banks, drained in ONE tick: the
-        // TSV command bus still issues one per cycle, so completions are
-        // staggered exactly as per-cycle ticking would stagger them.
-        let mut v = Vault::new(&cfg());
-        v.push(VaultRequest::read(1, Addr::new(0)));
-        v.push(VaultRequest::read(2, Addr::new(64)));
-        v.push(VaultRequest::read(3, Addr::new(128)));
-        v.tick(0);
-        assert!(!v.has_queued(), "tick must drain the whole backlog");
-        assert_eq!(v.accesses(), 3);
-        assert_eq!(v.bank_conflicts(), 0);
+        // Three requests to three banks, admitted together in one cycle,
+        // drain onto the TSV command bus one issue per cycle, so their
+        // completions are staggered.
         let l = cfg().vault_access_latency;
-        for (t, id) in [(l, 1), (l + 1, 2), (l + 2, 3)] {
-            assert!(v.pop_response(t.saturating_sub(1)).is_none(), "id {id} must not be early");
-            assert_eq!(v.pop_response(t).unwrap().id, id);
-        }
-        assert!(v.is_idle());
+        let mut v = vault(&cfg());
+        let timings = push(&mut v, &cfg(), &[(0, 0), (0, 64), (0, 128)]);
+        assert_eq!(v.0.bank_conflicts(), 0);
+        assert!(timings.iter().all(|t| t.admitted == 0));
+        let done: Vec<Cycle> = timings.iter().map(|t| t.done).collect();
+        assert_eq!(done, [l, l + 1, l + 2]);
     }
 
     #[test]
     fn issue_cursor_persists_across_wakes() {
-        // A request arriving while a previous batch is still (virtually)
-        // issuing queues behind it, exactly like the per-cycle model.
-        let mut v = Vault::new(&cfg());
-        v.push(VaultRequest::read(1, Addr::new(0)));
-        v.push(VaultRequest::read(2, Addr::new(64)));
-        v.tick(0); // virtual issues at cycles 0 and 1
-        v.push(VaultRequest::read(3, Addr::new(128)));
-        v.tick(1); // cursor is 2: id 3 issues at cycle 2, not 1
+        // A request admitted while an earlier batch is still issuing queues
+        // behind it: two issue at cycles 0 and 1, so one admitted at cycle 1
+        // issues at 2.
         let l = cfg().vault_access_latency;
-        assert_eq!(v.next_completion_at(), Some(l));
-        let mut last = None;
-        for t in 0..l + 3 {
-            while let Some(r) = v.pop_response(t) {
-                last = Some((t, r.id));
-            }
-        }
-        assert_eq!(last, Some((l + 2, 3)));
+        let mut v = vault(&cfg());
+        let timings = push(&mut v, &cfg(), &[(0, 0), (0, 64), (1, 128)]);
+        assert_eq!(timings[2], Access { admitted: 1, done: l + 2 });
     }
 
     #[test]
     fn drained_vault_wakes_only_for_completions() {
-        let mut v = Vault::new(&cfg());
-        v.push(VaultRequest::read(1, Addr::new(0)));
-        assert_eq!(v.next_wake(0), NextWake::At(1), "external push wakes the drain");
-        v.tick(0);
-        let l = cfg().vault_access_latency;
-        assert_eq!(v.next_wake(0), NextWake::At(l), "post-drain wake is the completion");
-        assert_eq!(v.pop_response(l).unwrap().id, 1);
-        assert_eq!(v.next_wake(l), NextWake::Idle);
-    }
-
-    #[test]
-    fn state_json_round_trip_resumes_identically() {
-        let mut v = Vault::new(&cfg());
-        // In-flight completion, a pending queue entry and a moved issue
-        // cursor, with one bank conflict already accrued.
-        v.push(VaultRequest::read(1 << 62 | 1, Addr::new(0)));
-        v.push(VaultRequest::write(1 << 62 | 2, Addr::new(64 * 32 * 8)));
-        v.tick(0);
-        v.push(VaultRequest::read(1 << 62 | 3, Addr::new(64)));
-        let doc = Json::parse(&v.state_to_json().render()).unwrap();
-        let mut r = Vault::new(&cfg());
-        r.load_state(&doc).unwrap();
-        let l = cfg().vault_access_latency;
-        for t in 1..4 * l {
-            v.tick(t);
-            r.tick(t);
-            loop {
-                match (v.pop_response(t), r.pop_response(t)) {
-                    (None, None) => break,
-                    (a, b) => assert_eq!(a, b, "divergence at cycle {t}"),
-                }
-            }
+        // A vault asks its cube for no wake of its own: not to admit, not to
+        // issue, not to retry a request that found the queue full. With
+        // depth 1, three same-cycle requests to vault 0 are admitted a cycle
+        // apart, and the cube wakes once per completion, then sleeps once
+        // the vault has drained.
+        let c = HmcConfig { vault_queue_depth: 1, ..cfg() };
+        let mut cube = HmcCube::new(CubeId::new(0), &c, 16);
+        let addrs = [0, 64 * 32, 2 * 64 * 32];
+        for (id, &a) in (0u64..).zip(&addrs) {
+            assert_eq!(cube.vault_of(Addr::new(a)), 0);
+            cube.try_push(0, VaultRequest::read(id, Addr::new(a))).unwrap();
         }
-        assert_eq!(v.accesses(), r.accesses());
-        assert_eq!(v.bank_conflicts(), r.bank_conflicts());
-        assert!(v.is_idle() && r.is_idle());
-    }
-
-    #[test]
-    fn load_state_rejects_inconsistent_configuration() {
-        let mut v = Vault::new(&cfg());
-        for i in 0..3 {
-            v.push(VaultRequest::read(i, Addr::new(64 * i)));
+        assert_eq!(cube.vault_queue_rejections(), 1 + 2, "the backlog waits for admission");
+        // The same vault on its own times each access; its response returns
+        // one crossbar traversal after it completes.
+        let arrivals: Vec<(Cycle, u64)> = addrs.iter().map(|&a| (c.crossbar_latency, a)).collect();
+        let returns: Vec<Cycle> = push(&mut vault(&c), &c, &arrivals)
+            .iter()
+            .map(|t| t.done + c.crossbar_latency)
+            .collect();
+        let mut wakes = Vec::new();
+        while let NextWake::At(t) = cube.next_wake() {
+            assert_eq!(cube.pop_response(t - 1), None, "nothing returns before the wake");
+            assert!(cube.pop_response(t).is_some(), "a wake returns a response");
+            wakes.push(t);
         }
-        let doc = v.state_to_json();
-        let mut shallow = Vault::new(&HmcConfig { vault_queue_depth: 2, ..cfg() });
-        let err = shallow.load_state(&doc).unwrap_err();
-        assert!(err.to_string().contains("depth"), "unexpected error: {err}");
-        let mut narrow = Vault::new(&HmcConfig { banks_per_vault: 2, ..cfg() });
-        let err = narrow.load_state(&doc).unwrap_err();
-        assert!(err.to_string().contains("banks"), "unexpected error: {err}");
+        assert_eq!(wakes, returns);
+        assert!(cube.is_idle());
     }
 
     #[test]
     fn queue_depth_enforced() {
-        let mut v = Vault::new(&HmcConfig { vault_queue_depth: 2, ..cfg() });
-        assert!(v.push(VaultRequest::read(1, Addr::new(0))));
-        assert!(v.push(VaultRequest::read(2, Addr::new(64))));
-        assert!(!v.push(VaultRequest::read(3, Addr::new(128))));
-        assert!(!v.can_accept());
-        assert_eq!(v.queue_len(), 2);
+        // Depth 2: five requests arriving at cycle 3 are admitted two per
+        // cycle, in push order; a request arriving at 4 queues behind them,
+        // and one arriving at 9 finds the queue empty.
+        let c = HmcConfig { vault_queue_depth: 2, ..cfg() };
+        let mut v = vault(&c);
+        let requests = [(3, 0), (3, 64), (3, 128), (3, 192), (3, 256), (4, 320), (9, 384)];
+        let admitted: Vec<Cycle> = push(&mut v, &c, &requests).iter().map(|t| t.admitted).collect();
+        assert_eq!(admitted, [3, 3, 4, 4, 5, 5, 9]);
+    }
+
+    #[test]
+    fn state_json_round_trip_resumes_identically() {
+        // A moved issue cursor, a busy bank, one bank conflict and a full
+        // admission cycle.
+        let c = HmcConfig { vault_queue_depth: 2, ..cfg() };
+        let mut v = vault(&c);
+        push(&mut v, &c, &[(5, 0), (5, 64 * 32 * 8), (5, 64)]);
+        let doc = Json::parse(&v.0.state_to_json(&v.1).render()).unwrap();
+        let mut restored = vault(&c);
+        restored.0.load_state(&doc, &mut restored.1, c.vault_queue_depth).unwrap();
+        assert_eq!(restored.1, v.1);
+        let later = [(6, 0), (6, 64), (6, 64 * 32 * 8), (7, 128), (30, 0)];
+        assert_eq!(push(&mut v, &c, &later), push(&mut restored, &c, &later));
+        assert_eq!(v.0.accesses(), restored.0.accesses());
+        assert_eq!(v.0.bank_conflicts(), restored.0.bank_conflicts());
+    }
+
+    #[test]
+    fn load_state_rejects_inconsistent_configuration() {
+        let c = cfg();
+        let mut v = vault(&c);
+        push(&mut v, &c, &[(0, 0), (0, 64), (0, 128)]);
+        let doc = v.0.state_to_json(&v.1);
+        let err = Vault::default().load_state(&doc, &mut [0; 8], 2).unwrap_err();
+        assert!(err.to_string().contains("configured queue depth is 2"), "{err}");
+        let err = Vault::default().load_state(&doc, &mut [0; 2], 16).unwrap_err();
+        assert!(err.to_string().contains("but the vault has 2 banks"), "{err}");
     }
 }

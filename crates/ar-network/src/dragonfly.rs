@@ -90,21 +90,35 @@ impl DragonflyTopology {
     }
 
     /// Checks every node a decoded packet names: its source, its destination
-    /// and, for an `Update`, its compute cube.
+    /// and, for an `Update`, its compute cube. An operand slot names the
+    /// cube whose engine buffers the operand, which is the requester: the
+    /// source of an `OperandReq` and the destination of an `OperandResp`.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the packet and the first field that is
-    /// not a node of this topology.
+    /// not a node of this topology, or whose operand slot is not on its
+    /// requester.
     pub fn check_packet(&self, packet: &Packet) -> Result<(), JsonError> {
         let id = packet.id;
         self.check_node(packet.src, || format!("packet {id:#x} src"))?;
         self.check_node(packet.dst, || format!("packet {id:#x} dst"))?;
-        if let PacketKind::Active(ActiveKind::Update { compute_cube, .. }) = packet.kind {
-            let compute = NetNode::Cube(compute_cube);
-            self.check_node(compute, || format!("packet {id:#x} compute_cube"))?;
+        let (slot, requester) = match packet.kind {
+            PacketKind::Active(ActiveKind::Update { compute_cube, .. }) => {
+                let compute = NetNode::Cube(compute_cube);
+                return self.check_node(compute, || format!("packet {id:#x} compute_cube"));
+            }
+            PacketKind::Active(ActiveKind::OperandReq { slot, .. }) => (slot, packet.src),
+            PacketKind::Active(ActiveKind::OperandResp { slot, .. }) => (slot, packet.dst),
+            _ => return Ok(()),
+        };
+        match slot {
+            Some(slot) if NetNode::Cube(slot.cube) != requester => Err(JsonError::state(format!(
+                "packet {id:#x} operand slot is on {} but its requester is {requester}",
+                slot.cube
+            ))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Cubes per group.
@@ -430,5 +444,40 @@ mod tests {
     #[should_panic(expected = "cubes must divide")]
     fn invalid_group_count_panics() {
         let _ = DragonflyTopology::new(16, 3, 2);
+    }
+
+    #[test]
+    fn check_packet_rejects_operand_slots_off_their_requester() {
+        // Cube 2 buffers an operand that cube 7 reads for it: the request
+        // travels 2 -> 7 and the response 7 -> 2, both naming cube 2's slot.
+        use ar_types::packet::OperandSlot;
+        use ar_types::{Addr, FlowId, ReduceOp};
+        let t = DragonflyTopology::paper();
+        let (requester, owner) = (NetNode::Cube(CubeId::new(2)), NetNode::Cube(CubeId::new(7)));
+        let flow = FlowId::new(0x40, PortId::new(0));
+        let packets = |cube: usize| {
+            let slot = Some(OperandSlot { cube: CubeId::new(cube), index: 3 });
+            let (which, update_id, op) = (0, 9, ReduceOp::Mac);
+            let req =
+                ActiveKind::OperandReq { flow, slot, addr: Addr::new(0x80), which, update_id, op };
+            let resp = ActiveKind::OperandResp { flow, slot, which, value: 1.5, update_id, op };
+            [
+                Packet::new(1, requester, owner, PacketKind::Active(req), 0),
+                Packet::new(2, owner, requester, PacketKind::Active(resp), 0),
+            ]
+        };
+        for packet in packets(2) {
+            t.check_packet(&packet).expect("a slot on the requester is valid");
+        }
+        for cube in [7, 99] {
+            for packet in packets(cube) {
+                let err = t.check_packet(&packet).unwrap_err().to_string();
+                let expected = format!(
+                    "packet {:#x} operand slot is on cube{cube} but its requester is cube2",
+                    packet.id
+                );
+                assert!(err.contains(&expected), "expected {expected:?}, got: {err}");
+            }
+        }
     }
 }

@@ -10,8 +10,6 @@
 //! * [`component`] — the [`component::Component`] trait, the
 //!   [`component::NextWake`] requests it answers with, and the
 //!   [`component::WakeTable`] a driver keeps them in;
-//! * [`events::EventFifo`] — events scheduled in cycle order, popped in
-//!   O(1) (constant-delay stages such as the HMC crossbar);
 //! * [`queue::LatencyQueue`] — items that become visible after a fixed or
 //!   per-item delay (pipelines, DRAM access completion);
 //! * [`queue::BandwidthLink`] — a bandwidth-limited, in-order link that
@@ -32,13 +30,11 @@
 //! ```
 
 pub mod component;
-pub mod events;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 
 pub use component::{Component, NextWake, SchedCtx, WakeTable};
-pub use events::EventFifo;
 pub use queue::{BandwidthLink, LatencyQueue};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Stats, TimeSeries};

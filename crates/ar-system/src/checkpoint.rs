@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// meaning: a restored run must be byte-identical to an uninterrupted one,
 /// so decoding a stale layout into a newer simulator (or vice versa) must
 /// fail loudly instead of resuming from subtly wrong state.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 
 /// Distinguishes temp files of racing writers within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -198,9 +198,9 @@ mod tests {
 
     #[test]
     fn schema_mismatch_and_hostile_fields_are_rejected() {
-        // A future schema and the stale v1 system-state layout must not
-        // decode.
-        for schema in [CHECKPOINT_SCHEMA_VERSION + 1, 1] {
+        // A future schema and the stale v1 and v2 system-state layouts must
+        // not decode.
+        for schema in [CHECKPOINT_SCHEMA_VERSION + 1, 2, 1] {
             let doc = sample_with("schema", &Json::from(schema));
             assert!(Checkpoint::from_json(&doc).is_err(), "schema v{schema} must not decode");
         }

@@ -78,7 +78,8 @@ enum SysKey {
     Dram,
     /// The memory network.
     Network,
-    /// One HMC cube (crossbar + vaults).
+    /// One HMC cube (crossbar + vaults), due when a vault response is due
+    /// back at its link side.
     Cube(usize),
     /// One per-cube Active-Routing Engine.
     Engine(usize),
@@ -900,8 +901,8 @@ impl System {
     /// components this configuration does not have, or disagrees with the
     /// regenerated workload streams.
     pub fn load_state(&mut self, doc: &Json) -> Result<(), JsonError> {
-        // The resume cycle is parsed first: cube restores re-derive their
-        // vault wake calendars relative to it.
+        // The resume cycle is parsed first: cube restores check that no
+        // pending vault response was due before it.
         let resume_cycle = doc.req_u64("resume_cycle")?;
         let report_cycle = doc.req_u64("report_cycle")?;
         let completed = doc.req_bool("completed")?;
@@ -1428,7 +1429,7 @@ impl System {
                 .iter()
                 .fold(dram.next_wake(now), |wake, (at, ..)| wake.min_with(NextWake::At(*at))),
             (SysKey::Network, Backend::Hmc(hmc)) => hmc.network.next_wake(now),
-            (SysKey::Cube(c), Backend::Hmc(hmc)) => hmc.cubes[c].next_wake(now),
+            (SysKey::Cube(c), Backend::Hmc(hmc)) => hmc.cubes[c].next_wake(),
             (SysKey::Engine(c), Backend::Hmc(hmc)) => hmc.engines[c].next_wake(now),
             // The memory side re-arms a sleeping cluster when it delivers a
             // completion or gather result to it (the cores phase itself
@@ -1918,8 +1919,11 @@ impl System {
 
     /// One HMC-side network cycle, in four sub-phases with the same order as
     /// the original lock-step loop: the network tick, the per-cube delivery /
-    /// engine sub-phase, the per-cube vault-drain sub-phase, and the host
+    /// engine sub-phase, the per-cube vault-response sub-phase, and the host
     /// ports. Both per-cube sub-phases visit cubes in ascending index order.
+    /// Cubes take vault requests only in the delivery sub-phase, before
+    /// their responses are popped, which is the order
+    /// [`HmcCube::try_push`] requires.
     /// `due` holds the step's due flags by key slot (`None`: lock-step,
     /// everything due).
     fn step_hmc(&mut self, now: Cycle, due: Option<&[bool]>, hub: &mut ObserverHub<'_>) {
@@ -1987,16 +1991,15 @@ impl System {
         let Backend::Hmc(hmc) = &mut self.backend else { return };
         let hmc = hmc.as_mut();
 
-        // 2. Advance the cubes and collect vault completions in pop order:
-        // every cube that is due — or was stimulated earlier this cycle
-        // (sub-phase 1 pushes vault requests whose crossbar latency may be
-        // zero).
+        // 2. Collect the vault responses due back at the cubes' link sides,
+        // in pop order: from every cube that is due, or was handed a request
+        // earlier this cycle (with zero crossbar and access latencies, its
+        // response is due at once).
         let mut vault_completions = std::mem::take(&mut self.completion_scratch);
         for (c, cube) in hmc.cubes.iter_mut().enumerate() {
             if !is_due(SysKey::Cube(c)) && !self.arm_flags[Self::key_slot(SysKey::Cube(c))] {
                 continue;
             }
-            cube.wake(now, &mut ctx);
             while let Some(resp) = cube.pop_response(now) {
                 vault_completions.push((c, resp));
             }

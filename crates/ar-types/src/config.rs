@@ -558,9 +558,10 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first inconsistency found,
-    /// e.g. zero cores, a mesh too small for the memory controllers, cube
-    /// count not divisible by the group count, or an offloading scheme
-    /// combined with the DDR baseline.
+    /// e.g. zero cores, zero HMC vaults, banks or vault queue depth, a mesh
+    /// too small for the memory controllers, cube count not divisible by
+    /// the group count, or an offloading scheme combined with the DDR
+    /// baseline.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores.count == 0 {
             return Err(ConfigError::new("core count must be non-zero"));
@@ -570,6 +571,15 @@ impl SystemConfig {
         }
         if self.network.cubes == 0 || self.network.host_ports == 0 {
             return Err(ConfigError::new("memory network needs at least one cube and one port"));
+        }
+        for (field, size) in [
+            ("hmc.vaults", self.hmc.vaults),
+            ("hmc.banks_per_vault", self.hmc.banks_per_vault),
+            ("hmc.vault_queue_depth", self.hmc.vault_queue_depth),
+        ] {
+            if size == 0 {
+                return Err(ConfigError::new(format!("{field} must be non-zero")));
+            }
         }
         if !self.network.cubes.is_multiple_of(self.network.groups) {
             return Err(ConfigError::new("cube count must be divisible by dragonfly group count"));
@@ -800,6 +810,32 @@ mod tests {
         let mut cfg = SystemConfig::paper();
         cfg.network.groups = 3;
         assert!(cfg.validate().is_err());
+    }
+
+    /// The paper configuration with one HMC size set to zero, and the
+    /// message its validation fails with.
+    fn zero_hmc_size(zero: fn(&mut HmcConfig)) -> String {
+        let mut cfg = SystemConfig::paper();
+        zero(&mut cfg.hmc);
+        cfg.validate().unwrap_err().to_string()
+    }
+
+    #[test]
+    fn zero_vaults_are_rejected() {
+        let err = zero_hmc_size(|hmc| hmc.vaults = 0);
+        assert!(err.contains("hmc.vaults must be non-zero"), "{err}");
+    }
+
+    #[test]
+    fn zero_banks_per_vault_are_rejected() {
+        let err = zero_hmc_size(|hmc| hmc.banks_per_vault = 0);
+        assert!(err.contains("hmc.banks_per_vault must be non-zero"), "{err}");
+    }
+
+    #[test]
+    fn zero_vault_queue_depth_is_rejected() {
+        let err = zero_hmc_size(|hmc| hmc.vault_queue_depth = 0);
+        assert!(err.contains("hmc.vault_queue_depth must be non-zero"), "{err}");
     }
 
     #[test]

@@ -329,3 +329,38 @@ fn operand_slots_the_pool_does_not_hold_fail_to_restore() {
         build().from_checkpoint(ck).build().expect_err("a duplicated free entry must not restore");
     assert!(err.to_string().contains("listed twice"), "{err}");
 }
+
+/// An operand slot names the cube whose engine buffers the operand, which
+/// is the requester of the remote read. Nothing reads the field after the
+/// request leaves that cube, so only the decoder can catch a slot moved to
+/// another cube: the restore must fail.
+#[test]
+fn operand_slots_off_their_requester_fail_to_restore() {
+    let build = || {
+        Simulation::builder()
+            .config(SystemConfig::small())
+            .named(NamedConfig::ArfTid)
+            .workload(WorkloadKind::Mac)
+            .size(SizeClass::Tiny)
+    };
+    let needle = r#""slot":{"cube":"#;
+    let mut checked = 0;
+    for at in (50..1_000).step_by(50) {
+        let mut warm = build().build().expect("valid");
+        if warm.run_prefix(at) {
+            break;
+        }
+        let rendered = wire_checkpoint(&warm).to_json().render();
+        // Every packet and remote read in flight that names a slot.
+        for (pos, _) in rendered.match_indices(needle).take(4) {
+            let start = pos + needle.len();
+            let end = start + rendered[start..].find(',').expect("the slot has an index");
+            let moved = format!("{}99{}", &rendered[..start], &rendered[end..]);
+            let ck = Checkpoint::from_json(&Json::parse(&moved).unwrap()).expect("decodes");
+            let err = build().from_checkpoint(ck).build().expect_err("a moved slot must fail");
+            assert!(err.to_string().contains("operand slot is on cube99"), "at {at}: {err}");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 8, "only {checked} operand slots were in flight over the snapshots");
+}
