@@ -897,7 +897,8 @@ impl ActiveRoutingEngine {
     /// Returns a [`JsonError`] when the document is malformed or inconsistent
     /// with this engine's configuration (the flow table and operand pool
     /// perform their own validation), when an outstanding read or ALU
-    /// operation names an operand slot the restored pool does not hold, or
+    /// operation names an operand slot the restored pool does not hold or
+    /// holds for another update, or
     /// when a flow's port, parent or child, a remote read's requester or an
     /// output packet's source, destination or compute cube is not a node of
     /// the topology.
@@ -953,18 +954,28 @@ impl ActiveRoutingEngine {
             );
         }
         // The first commit or operand arrival indexes the operand pool with
-        // these slots, so each must name an entry the restored pool holds.
+        // these slots, so each must name an entry the restored pool holds for
+        // the same update: an entry of another update is released when that
+        // update commits, under the reference still pointing at it.
         let local_slots = self.pending_reads.values().filter_map(|purpose| match purpose {
-            ReadPurpose::LocalOperand { slot, .. } => *slot,
+            ReadPurpose::LocalOperand { ctx, slot, .. } => slot.map(|index| (index, ctx.update_id)),
             ReadPurpose::RemoteOperand { .. } => None,
         });
-        let alu_slots = self.alu_queue.state_entries().into_iter().filter_map(|(_, op)| op.slot);
-        if let Some(index) =
-            local_slots.chain(alu_slots).find(|&index| self.operands.get(index).is_none())
-        {
-            return Err(JsonError::state(format!(
-                "operand slot {index} is out of range or free in the restored operand pool"
-            )));
+        let alu_slots = self.alu_queue.state_entries().into_iter();
+        let alu_slots = alu_slots.filter_map(|(_, op)| op.slot.map(|i| (i, op.ctx.update_id)));
+        for (index, update_id) in local_slots.chain(alu_slots) {
+            let Some(entry) = self.operands.get(index) else {
+                return Err(JsonError::state(format!(
+                    "operand slot {index} is out of range or free in the restored operand pool"
+                )));
+            };
+            if entry.update_id != update_id {
+                return Err(JsonError::state(format!(
+                    "operand slot {index} holds update {:#x} but is referenced by update \
+                     {update_id:#x}",
+                    entry.update_id
+                )));
+            }
         }
         self.pending_output = AreOutput::state_from_json(doc.req("pending_output")?)?;
         for packet in &self.pending_output.packets {
@@ -1780,6 +1791,54 @@ mod tests {
                 format!("remote read operand slot is on cube{cube} but its requester is cube1");
             assert!(err.contains(&expected), "expected {expected:?}, got: {err}");
         }
+    }
+
+    #[test]
+    fn load_state_rejects_operand_slots_held_by_another_update() {
+        // Two Mac updates computed at cube 0, both operands local: each holds
+        // one operand entry and waits on two local reads. A read or a slotted
+        // ALU operation pointing at the other update's live entry would find
+        // it released once that update commits, so neither may restore.
+        let mut eng = engine(0);
+        let f = flow(0x40);
+        let first =
+            eng.handle_packet(0, update_packet(0, f, ReduceOp::Mac, 0x100, Some(0x800), 0, 1));
+        let _ = eng.handle_packet(0, update_packet(0, f, ReduceOp::Mac, 0x140, Some(0x840), 0, 2));
+        let slot_of = |eng: &ActiveRoutingEngine, update_id: u64| {
+            (0..eng.operand_pool().capacity())
+                .find(|&i| eng.operand_pool().get(i).is_some_and(|e| e.update_id == update_id))
+                .expect("the update holds an operand entry")
+        };
+        let (own, other) = (slot_of(&eng, 1), slot_of(&eng, 2));
+        fn field<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+            let Json::Obj(fields) = doc else { panic!("{key}'s parent is an object") };
+            &mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1
+        }
+        // Points the first entry of `list` (in `purpose` for pending reads)
+        // whose slot is `own` at `other`, and expects the restore to fail.
+        let assert_rejected = |eng: &ActiveRoutingEngine, list: &str| {
+            let mut doc = eng.state_to_json();
+            engine(0).load_state(&doc).expect("the snapshot restores");
+            let Json::Arr(entries) = field(&mut doc, list) else { panic!("{list} is an array") };
+            let slot = entries
+                .iter_mut()
+                .map(|entry| if list == "pending_reads" { field(entry, "purpose") } else { entry })
+                .map(|owner| field(owner, "slot"))
+                .find(|slot| **slot == Json::from(own))
+                .unwrap_or_else(|| panic!("no {list} entry on slot {own}"));
+            *slot = Json::from(other);
+            let err = engine(0).load_state(&doc).expect_err("a borrowed slot must not restore");
+            let expected =
+                format!("operand slot {other} holds update 0x2 but is referenced by update 0x1");
+            assert!(err.to_string().contains(&expected), "{list}: {err}");
+        };
+        assert_rejected(&eng, "pending_reads");
+        // Both of the first update's operands arrive: its ALU operation now
+        // carries the slot.
+        for access in &first.vault_accesses {
+            let _ = eng.complete_vault_read(1, access.id, 2.0);
+        }
+        assert_rejected(&eng, "alu_queue");
     }
 
     #[test]

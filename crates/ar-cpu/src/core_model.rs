@@ -93,51 +93,6 @@ struct Parked {
     runnable: bool,
 }
 
-/// Scalar snapshot of a core in the pure offload-drain regime, produced by
-/// [`Core::offload_drain_probe`] for the system-level drain planner. All
-/// occupancy figures are in instructions/commands; the probe guarantees the
-/// core's per-cycle behaviour over the window is a pure function of these
-/// scalars (every ROB slot retirable, MI all-`Update`, stream head an
-/// `Update` run).
-#[derive(Debug, Clone, Copy)]
-pub struct OffloadDrainProbe {
-    /// Issue (and retire) width in instructions per core cycle.
-    pub issue_width: u64,
-    /// ROB capacity in instructions.
-    pub rob_entries: u64,
-    /// Instructions currently occupying the ROB (all retirable).
-    pub rob_insns: u64,
-    /// Commands currently queued in the Message Interface (all `Update`s).
-    pub mi_len: u64,
-    /// Message Interface queue depth.
-    pub mi_depth: u64,
-    /// Consecutive `Update` items at the stream head (capped at the probe's
-    /// `max_run` argument).
-    pub update_run: u64,
-}
-
-/// The aggregate per-core effect of one planned offload-drain window,
-/// applied in one shot by [`Core::finish_offload_drain`].
-#[derive(Debug, Clone, Copy)]
-pub struct OffloadDrainOutcome {
-    /// Core cycles the window covered (window length times the clock ratio).
-    pub core_cycles: u64,
-    /// Retirement timestamp for the merged post-window ROB slots: the first
-    /// core cycle after the window, i.e. the earliest cycle the next real
-    /// tick can observe them.
-    pub end_ready_at: Cycle,
-    /// Instructions retired inside the window.
-    pub retired: u64,
-    /// Fully-stalled window cycles attributed to a full Message Interface.
-    pub stall_offload: u64,
-    /// Fully-stalled window cycles attributed to a full ROB.
-    pub stall_rob_full: u64,
-    /// Stream-head `Update` items issued (popped and pushed into the MI).
-    pub pushes: u64,
-    /// Commands drained from the MI front (already submitted by the system).
-    pub pops: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SlotState {
     Ready(Cycle),
@@ -493,138 +448,6 @@ impl Core {
                 other => unreachable!("fast-forward issued past the compute run: {other:?}"),
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // System-level offload-drain fast-forward support
-    // ------------------------------------------------------------------
-
-    /// Probes whether this core is in the pure offload-drain regime an
-    /// `ar_system`-level drain fast-forward window may cover, and returns
-    /// the scalar state the planner needs if so.
-    ///
-    /// The regime requires that nothing but the retire/issue/MI-drain
-    /// recurrence can act on the core: no pending fast-forward or parked
-    /// interval, no outstanding memory requests (so no completion can flip a
-    /// ROB slot), no partially issued compute item, every ROB slot already
-    /// retirable at `since` (the first core cycle of the window), only
-    /// `Update` commands queued in the Message Interface (a queued `Gather`
-    /// would create host-controller state whose response re-enters the
-    /// core), and an `Update` at the stream head. Under those conditions the
-    /// core's per-cycle behaviour is a pure function of three scalars — ROB
-    /// occupancy, MI occupancy and the remaining update run — which is what
-    /// makes the window plannable in closed form (see `rob_space`: occupancy
-    /// is counted in instructions, and `retire` crosses slot boundaries, so
-    /// the ROB's slot partitioning is behaviourally irrelevant here).
-    ///
-    /// `max_run` caps the stream walk that counts the head update run; the
-    /// planner never consumes more than its pop budget plus the MI depth, so
-    /// the probe cost stays bounded on very long runs.
-    pub fn offload_drain_probe(&self, since: Cycle, max_run: u64) -> Option<OffloadDrainProbe> {
-        if self.fast_forward.is_some()
-            || self.parked.is_some()
-            || self.outstanding_mem > 0
-            || self.partial_compute > 0
-            || !self.pending_requests.is_empty()
-        {
-            return None;
-        }
-        if !matches!(self.stream.peek(), Some(WorkItem::Update { .. })) {
-            return None;
-        }
-        if !self.mi.iter().all(|cmd| matches!(cmd.kind, OffloadKind::Update { .. })) {
-            return None;
-        }
-        if !self.rob.iter().all(|s| matches!(s.state, SlotState::Ready(t) if t <= since)) {
-            return None;
-        }
-        debug_assert!(
-            self.waiting_barrier_id.is_none(),
-            "an all-ready ROB cannot hold an unresolved barrier"
-        );
-        let update_run = self
-            .stream
-            .iter()
-            .take(usize::try_from(max_run).unwrap_or(usize::MAX))
-            .take_while(|item| matches!(item, WorkItem::Update { .. }))
-            .count() as u64;
-        Some(OffloadDrainProbe {
-            issue_width: u64::from(self.issue_width),
-            rob_entries: self.rob_entries as u64,
-            rob_insns: self.rob_insns as u64,
-            mi_len: self.mi.len() as u64,
-            mi_depth: self.mi.depth() as u64,
-            update_run,
-        })
-    }
-
-    /// Copies the first `n` commands of a drain window's virtual FIFO — the
-    /// commands already queued in the Message Interface followed by the
-    /// commands the stream-head `Update`s will packetise — into `out`,
-    /// consuming nothing. The system submits exactly these commands to the
-    /// host controller at the cycles the planner scheduled their MI pops.
-    pub fn peek_drain_commands(&self, n: u64, out: &mut Vec<OffloadCommand>) {
-        let thread = self.thread();
-        out.extend(
-            self.mi
-                .iter()
-                .copied()
-                .chain(self.stream.iter().map_while(move |item| match *item {
-                    WorkItem::Update { op, src1, src2, imm, target } => Some(OffloadCommand {
-                        thread,
-                        kind: OffloadKind::Update { op, src1, src2, imm, target },
-                    }),
-                    _ => None,
-                }))
-                .take(usize::try_from(n).unwrap_or(usize::MAX)),
-        );
-    }
-
-    /// Applies a planned offload-drain window in one shot: cycle, retirement
-    /// and per-cause stall counters, the stream items the window issued, the
-    /// Message-Interface churn (pushes then pops — FIFO order makes the
-    /// final queue identical to the interleaved schedule), and the final ROB
-    /// occupancy as merged ready slots, exactly as per-cycle ticking over
-    /// the window would have left them (the merge argument is
-    /// [`Core::settle_compute_to`]'s: retire crosses slot boundaries and
-    /// issue only inspects the youngest slot's state).
-    pub fn finish_offload_drain(&mut self, outcome: &OffloadDrainOutcome) {
-        debug_assert!(
-            self.parked.is_none() && self.fast_forward.is_none(),
-            "a drain window must not overlap another lazy interval"
-        );
-        self.cycles += outcome.core_cycles;
-        self.instructions_retired += outcome.retired;
-        self.stalls.offload += outcome.stall_offload;
-        self.stalls.rob_full += outcome.stall_rob_full;
-        for _ in 0..outcome.pushes {
-            match self.stream.pop() {
-                Some(WorkItem::Update { op, src1, src2, imm, target }) => {
-                    self.mi.push_unchecked(OffloadCommand {
-                        thread: self.thread(),
-                        kind: OffloadKind::Update { op, src1, src2, imm, target },
-                    });
-                    self.updates_offloaded += 1;
-                }
-                other => unreachable!("drain window issued past the update run: {other:?}"),
-            }
-        }
-        for _ in 0..outcome.pops {
-            let popped = self.mi.pop();
-            debug_assert!(popped.is_some(), "drain window popped an empty Message Interface");
-        }
-        let q = self.rob_insns as u64 + WorkItem::UPDATE_INSNS * outcome.pushes - outcome.retired;
-        self.rob.clear();
-        let mut left = q;
-        while left > 0 {
-            let chunk = left.min(u64::from(u32::MAX));
-            self.rob.push_back(RobSlot {
-                insns: chunk as u32,
-                state: SlotState::Ready(outcome.end_ready_at),
-            });
-            left -= chunk;
-        }
-        self.rob_insns = q as usize;
     }
 
     /// Marks the memory request `req_id` as completed at cycle `now`.

@@ -139,7 +139,6 @@ pub struct SimulationBuilder {
     observers: Vec<Box<dyn Observer>>,
     lockstep: bool,
     fast_forward: Option<bool>,
-    drain_fast_forward: Option<bool>,
     checkpoint: Option<Checkpoint>,
 }
 
@@ -161,7 +160,6 @@ impl SimulationBuilder {
             observers: Vec::new(),
             lockstep: false,
             fast_forward: None,
-            drain_fast_forward: None,
             checkpoint: None,
         }
     }
@@ -173,9 +171,9 @@ impl SimulationBuilder {
     /// checkpoint carries only dynamic state plus identity, never code or
     /// streams (see [`crate::checkpoint`]). [`SimulationBuilder::build`]
     /// fails when the rebuilt configuration or regenerated workload does not
-    /// match the one the snapshot was taken under. Report-neutral kernel
-    /// knobs (fast-forwarding, drain, lock-step) may
-    /// differ freely between the snapshotting run and the restored one.
+    /// match the one the snapshot was taken under. The report-neutral kernel
+    /// choices (fast-forwarding, lock-step) may differ freely between the
+    /// snapshotting run and the restored one.
     #[must_use]
     pub fn from_checkpoint(mut self, checkpoint: Checkpoint) -> Self {
         self.size = checkpoint.size;
@@ -268,23 +266,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Forces offload-drain fast-forwarding on or off (see
-    /// [`System::with_drain_fast_forward`]).
-    ///
-    /// Without this call the builder enables the drain planner exactly when
-    /// the generated workload offloads at all (`updates > 0`): a workload
-    /// with no `Update` items can never enter the MI-full drain regime, so
-    /// the per-cycle arming probe would be pure overhead. As with compute
-    /// fast-forwarding, the [`SimReport`] is byte-identical in every mode —
-    /// the equivalence suite's on/off axis asserts exactly that — so the
-    /// knob only places wall-clock work. Ignored by the lock-step reference
-    /// kernel, which never plans drain windows.
-    #[must_use]
-    pub fn drain_fast_forward(mut self, enabled: bool) -> Self {
-        self.drain_fast_forward = Some(enabled);
-        self
-    }
-
     /// Generates the workload, validates the configuration and wires the
     /// system.
     ///
@@ -313,11 +294,9 @@ impl SimulationBuilder {
         let fast_forward = self.fast_forward.unwrap_or_else(|| {
             generated.compute_block_stats().longest_block >= ar_cpu::PROFITABLE_BLOCK_INSNS
         });
-        let drain_fast_forward = self.drain_fast_forward.unwrap_or(generated.updates > 0);
         let mut system = System::new(cfg, generated.streams, generated.memory)?
             .with_labels(generated.name, label)
-            .with_fast_forward(fast_forward)
-            .with_drain_fast_forward(drain_fast_forward);
+            .with_fast_forward(fast_forward);
         if let Some(ck) = &self.checkpoint {
             let config_hash = system.config().to_json().content_hash();
             if ck.config_hash != config_hash {
@@ -501,6 +480,19 @@ mod tests {
         assert_eq!(restored, ck);
         let resumed = arf_tid_reduce().from_checkpoint(restored).build().expect("restores").run();
         assert_eq!(resumed, full, "restored run must reproduce the full report");
+
+        // Snapshots written while the kernel still had its offload-drain
+        // planner carry the planner's window counter in `state`, next to
+        // `back_invalidations`. The key is ignored, so such a snapshot
+        // restores to the same run.
+        let mut legacy = ck.clone();
+        let ar_types::json::Json::Obj(fields) = &mut legacy.state else {
+            panic!("system state is an object")
+        };
+        let at = fields.iter().position(|(k, _)| k == "resume_cycle").expect("state has a cycle");
+        fields.insert(at, ("drain_windows".to_string(), ar_types::json::Json::from(3u64)));
+        let resumed = arf_tid_reduce().from_checkpoint(legacy).build().expect("restores").run();
+        assert_eq!(resumed, full, "a snapshot carrying the retired key must still restore");
 
         // The kernel knobs are report-neutral across the restore boundary:
         // resume the same snapshot on the lock-step kernel.

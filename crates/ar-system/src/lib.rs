@@ -58,7 +58,6 @@
 
 pub mod builder;
 pub mod checkpoint;
-mod drain;
 pub mod observer;
 pub mod report;
 pub mod runner;

@@ -51,25 +51,21 @@ use std::sync::{Arc, Mutex};
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
 /// Execution knobs of one sweep cell. The default keeps the builder's own
-/// choices: automatic fast-forward decisions and the base configuration's
-/// cycle limit.
+/// choices: the automatic fast-forward decision and the base
+/// configuration's cycle limit.
 ///
-/// The kernel knobs (the fast-forward modes) place wall-clock work without
+/// The one kernel knob, `fast_forward`, places wall-clock work without
 /// affecting the [`SimReport`] — the equivalence suite pins byte-identical
-/// reports across every knob setting — so they are deliberately *excluded*
-/// from [`CellKey::cache_key`]: a report computed with fast-forwarding off
-/// is a sound cache hit for a later request that leaves it on.
-/// `cycle_limit` truncates the simulation and therefore *is* part of the key
-/// (folded into the effective configuration's `max_cycles`).
+/// reports in both modes — so it is deliberately *excluded* from
+/// [`CellKey::cache_key`]: a report computed with fast-forwarding off is a
+/// sound cache hit for a later request that leaves it on. `cycle_limit`
+/// truncates the simulation and therefore *is* part of the key (folded into
+/// the effective configuration's `max_cycles`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellKnobs {
     /// Forces bulk compute fast-forwarding on or off; `None` keeps the
     /// builder's automatic decision ([`SimulationBuilder::fast_forward`]).
     pub fast_forward: Option<bool>,
-    /// Forces offload-drain fast-forwarding on or off; `None` keeps the
-    /// builder's automatic decision
-    /// ([`SimulationBuilder::drain_fast_forward`]).
-    pub drain_fast_forward: Option<bool>,
     /// Overrides the base configuration's `max_cycles` when set.
     pub cycle_limit: Option<u64>,
 }
@@ -131,9 +127,6 @@ impl CellKey {
         if let Some(ff) = self.knobs.fast_forward {
             builder = builder.fast_forward(ff);
         }
-        if let Some(dff) = self.knobs.drain_fast_forward {
-            builder = builder.drain_fast_forward(dff);
-        }
         builder
     }
 
@@ -141,8 +134,8 @@ impl CellKey {
     /// configuration: `{schema, workload, size, config, base}` where `base`
     /// is the *effective* configuration — named overlay applied and
     /// `cycle_limit` folded into `max_cycles`, so the same effective limit
-    /// expressed either way produces the same key. Report-neutral knobs
-    /// (the fast-forward modes) are excluded; see [`CellKnobs`].
+    /// expressed either way produces the same key. The report-neutral
+    /// `fast_forward` knob is excluded; see [`CellKnobs`].
     ///
     /// Content-hash this document ([`Json::content_hash`]) to get the cache
     /// address of the cell's report.
@@ -168,13 +161,11 @@ impl CellKey {
 
     /// Encodes the cell key (including knobs) for the wire.
     pub fn to_json(&self) -> Json {
-        let opt_bool = |v: Option<bool>| v.map(Json::from).unwrap_or(Json::Null);
         Json::obj([
             ("workload", Json::from(self.workload.clone())),
             ("config", Json::from(self.config.to_string())),
             ("size", Json::from(self.size.to_string())),
-            ("fast_forward", opt_bool(self.knobs.fast_forward)),
-            ("drain_fast_forward", opt_bool(self.knobs.drain_fast_forward)),
+            ("fast_forward", self.knobs.fast_forward.map(Json::from).unwrap_or(Json::Null)),
             ("cycle_limit", self.knobs.cycle_limit.map(Json::from).unwrap_or(Json::Null)),
         ])
     }
@@ -203,13 +194,11 @@ impl CellKey {
             .and_then(Json::as_str)
             .and_then(SizeClass::parse)
             .ok_or_else(|| bad("size"))?;
-        let opt_bool = |key: &str| match doc.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v.as_bool().map(Some).ok_or_else(|| bad(key)),
-        };
         let knobs = CellKnobs {
-            fast_forward: opt_bool("fast_forward")?,
-            drain_fast_forward: opt_bool("drain_fast_forward")?,
+            fast_forward: match doc.get("fast_forward") {
+                None | Some(Json::Null) => None,
+                Some(v) => Some(v.as_bool().ok_or_else(|| bad("fast_forward"))?),
+            },
             cycle_limit: match doc.get("cycle_limit") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(v.as_u64().ok_or_else(|| bad("cycle_limit"))?),
@@ -469,11 +458,11 @@ impl Sweep {
 /// family of report-neutral [`CellKnobs`] variants out from that single
 /// checkpoint, each resumed and run to completion on its own worker thread.
 ///
-/// This is the warm-up-once sweep shape: when a matrix varies only kernel
-/// knobs (the fast-forward modes) over one `(workload, config,
-/// size)` identity, the cold prefix is identical across every variant — the
-/// knobs are report-neutral by the pinned equivalence invariant — so
-/// simulating it per variant is pure waste. The warm-up runs
+/// This is the warm-up-once sweep shape: when a matrix varies only the
+/// kernel knob (the fast-forward mode) over one `(workload, config, size)`
+/// identity, the cold prefix is identical across every variant — the knob
+/// is report-neutral by the pinned equivalence invariant — so simulating it
+/// per variant is pure waste. The warm-up runs
 /// under `cell`'s own knobs to network cycle `prefix` (capped at the cycle
 /// limit), and every variant resumes from the resulting [`crate::Checkpoint`];
 /// restored runs are byte-identical to uninterrupted ones, so the returned
@@ -625,23 +614,23 @@ mod tests {
             assert_eq!(&wired, key);
         }
         // Knobs survive the wire too, including explicit fast-forward forcing.
-        let knobbed = keys[0].clone().with_knobs(CellKnobs {
-            fast_forward: Some(false),
-            drain_fast_forward: Some(true),
-            cycle_limit: Some(12_345),
-        });
+        let knobbed = keys[0]
+            .clone()
+            .with_knobs(CellKnobs { fast_forward: Some(false), cycle_limit: Some(12_345) });
         assert_eq!(CellKey::from_json(&knobbed.to_json()).unwrap(), knobbed);
-        // Clients built while the kernel still had its run-ahead or thread
-        // knobs send them on every key; the fields are ignored, so such a
-        // document decodes to the same key and hits the same cache entry.
-        // (The run-ahead wire name is spelled in two pieces: the knob no
-        // longer exists anywhere else.)
+        // Clients built while the kernel still had its run-ahead, thread or
+        // offload-drain knobs send them on every key; the fields are
+        // ignored, so such a document decodes to the same key and hits the
+        // same cache entry. (The run-ahead wire name is spelled in two
+        // pieces: the knob no longer exists anywhere else.)
         let retired_knobs = [
             (concat!("cross", "_cycle"), Json::Null),
             (concat!("cross", "_cycle"), Json::from(true)),
             (concat!("cross", "_cycle"), Json::from(false)),
             ("threads", Json::from(1u64)),
             ("threads", Json::from(4u64)),
+            ("drain_fast_forward", Json::from(true)),
+            ("drain_fast_forward", Json::from(false)),
         ];
         let base = small_cfg();
         for key in [&keys[0], &knobbed] {
@@ -665,14 +654,13 @@ mod tests {
         let base = small_cfg();
         let key = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Tiny);
         let addr = key.cache_hash(&base);
-        // fast-forward knobs never change the report, so they must
-        // share the cache address...
-        let neutral = key.clone().with_knobs(CellKnobs {
-            fast_forward: Some(true),
-            drain_fast_forward: Some(false),
-            cycle_limit: None,
-        });
-        assert_eq!(neutral.cache_hash(&base), addr);
+        // The fast-forward knob never changes the report, so both forced
+        // modes must share the cache address...
+        for ff in [true, false] {
+            let neutral =
+                key.clone().with_knobs(CellKnobs { fast_forward: Some(ff), cycle_limit: None });
+            assert_eq!(neutral.cache_hash(&base), addr);
+        }
         // ...while the cycle limit, the named config, the size, the workload
         // and any base-config field all do change it.
         let limited =
@@ -734,7 +722,7 @@ mod tests {
         let cell = CellKey::new("reduce", NamedConfig::ArfTid, SizeClass::Tiny);
         let variants = [
             CellKnobs::default(),
-            CellKnobs { drain_fast_forward: Some(false), ..CellKnobs::default() },
+            CellKnobs { fast_forward: Some(true), ..CellKnobs::default() },
             CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
         ];
         let warm = warm_fan_out(&base, Arc::new(WorkloadKind::Reduce), &cell, 400, &variants)

@@ -36,13 +36,12 @@
 //! numerical reduction results that the tests compare against the workload's
 //! reference values.
 
-use crate::drain::{self, CoreDrain, MAX_WINDOW_POPS, MIN_DRAIN_CYCLES};
 use crate::observer::{Observer, ObserverHub, RunInfo, Sample, SimEvent};
 use crate::report::{CubeActivity, DataMovement, LatencyBreakdown, SimReport, StallSummary};
 
 use active_routing::{ActiveRoutingEngine, AreOutput, HostOffloadController, HostOutput};
 use ar_cache::{AccessKind, CacheHierarchy, HitLevel};
-use ar_cpu::{Core, MemAccess, MemAccessKind, OffloadCommand, OffloadDrainOutcome};
+use ar_cpu::{Core, MemAccess, MemAccessKind};
 use ar_dram::{DramRequest, DramSystem};
 use ar_hmc::{HmcCube, VaultRequest};
 use ar_network::{DragonflyTopology, MemoryNetwork, MeshNoc};
@@ -110,16 +109,6 @@ struct MemTxn {
     /// the memory controller.
     noc_return: u64,
     is_write: bool,
-}
-
-/// One host-controller submission planned by an offload-drain window: a
-/// command some core's Message Interface pops at network cycle `cycle`. The
-/// pop itself was already applied when the window committed; only the
-/// submission's timing and order must be replayed exactly.
-#[derive(Debug, Clone, Copy)]
-struct DrainInjection {
-    cycle: Cycle,
-    cmd: OffloadCommand,
 }
 
 /// The memory substrate behind the caches.
@@ -211,36 +200,9 @@ pub struct System {
     /// intervals on the cores (see [`System::with_fast_forward`]). The
     /// lock-step reference ignores the knob — it never fast-forwards.
     fast_forward: bool,
-    /// Whether the event-driven kernel may plan whole offload-drain windows
-    /// in closed form (see [`System::with_drain_fast_forward`]). The
-    /// lock-step reference ignores the knob — it never plans.
-    drain_fast_forward: bool,
-    /// First network cycle *not* covered by the currently planned drain
-    /// window (0 = no window pending). While `now < drain_until` the cores
-    /// phase only replays the window's submission schedule from
-    /// `drain_outbox`; the cores' own state was already committed to the
-    /// window end when the window was armed.
-    drain_until: Cycle,
-    /// The planned host-controller submissions of the current drain window,
-    /// cycle-major and core-ascending within a cycle — exactly the order the
-    /// per-cycle drain phase would have produced them in.
-    drain_outbox: VecDeque<DrainInjection>,
-    /// Offload-drain windows planned so far (diagnostics only — the whole
-    /// contract is that the report cannot tell).
-    drain_windows: u64,
-    /// Reusable buffers of `try_arm_offload_drain`, so planning a window
-    /// allocates nothing once they reach their high-water capacities: the
-    /// drain-core index list, their planner states, the pop schedule, the
-    /// peeked command streams (flat), and the per-core read cursors into
-    /// that flat buffer.
-    drain_plan_cores: Vec<usize>,
-    drain_plan_states: Vec<CoreDrain>,
-    drain_plan_pops: Vec<(u64, u32)>,
-    drain_plan_commands: Vec<OffloadCommand>,
-    drain_plan_cursors: Vec<usize>,
-    /// Reusable controller-output buffer of the drain phases, so submitting
-    /// a command allocates nothing (its back-invalidate list doubles as the
-    /// batch applied after each cycle's submissions).
+    /// Reusable controller-output buffer of the Message-Interface drain, so
+    /// submitting a command allocates nothing (its back-invalidate list
+    /// doubles as the batch applied after each cycle's submissions).
     host_scratch: HostOutput,
     /// Reusable `(core, request)` buffer of the cores phase, so the hot
     /// per-core-cycle loop allocates nothing.
@@ -416,15 +378,6 @@ impl System {
             hmc_bytes: 0,
             back_invalidations: 0,
             fast_forward: true,
-            drain_fast_forward: true,
-            drain_until: 0,
-            drain_outbox: VecDeque::new(),
-            drain_windows: 0,
-            drain_plan_cores: Vec::new(),
-            drain_plan_states: Vec::new(),
-            drain_plan_pops: Vec::new(),
-            drain_plan_commands: Vec::new(),
-            drain_plan_cursors: Vec::new(),
             host_scratch: HostOutput::default(),
             core_requests: Vec::new(),
             core_wake_at,
@@ -464,32 +417,6 @@ impl System {
     #[must_use]
     pub fn with_fast_forward(mut self, enabled: bool) -> Self {
         self.fast_forward = enabled;
-        self
-    }
-
-    /// Enables or disables system-level offload-drain fast-forwarding in the
-    /// event-driven kernel (default: enabled).
-    ///
-    /// When enabled, a cluster caught in the MI-full offload regime — every
-    /// runnable core issuing a head run of `Update` items against a
-    /// back-pressuring Message Interface, no memory responses or gather
-    /// completions in flight, the host controller idle — has its whole drain
-    /// schedule computed in closed form (the `drain` planner module)
-    /// instead of being
-    /// ticked every core cycle: the cores' retire/issue/stall effects commit
-    /// in one shot, and only the per-cycle host-controller submissions are
-    /// replayed at their true network cycles, so the memory side sees
-    /// exactly the packet sequence per-cycle ticking would have produced.
-    /// Windows end before any IPC sample boundary, observer-visible event,
-    /// cycle limit or regime change, so the [`SimReport`] is byte-identical
-    /// either way — the knob only decides wall-clock placement of the work,
-    /// which is what lets the equivalence suite carry an on/off axis and the
-    /// bench regression gate compare the two. [`System::run_lockstep`]
-    /// ignores the knob: the per-cycle reference is the oracle the planned
-    /// schedule is validated against.
-    #[must_use]
-    pub fn with_drain_fast_forward(mut self, enabled: bool) -> Self {
-        self.drain_fast_forward = enabled;
         self
     }
 
@@ -580,6 +507,9 @@ impl System {
     /// Runs the kernel loop from [`System::resume_cycle`] up to `max_cycles`
     /// and returns the `(now, completed)` pair the epilogue reports from:
     /// the cycle the loop ended on and whether the system quiesced.
+    /// `max_cycles` is the caller's horizon — the configured cycle limit for
+    /// a full run, the prefix stop for [`System::run_prefix`]; nothing inside
+    /// the loop reads `cfg.max_cycles`, so both stop the same way.
     ///
     /// The loop is resumable: each call rebuilds the wake calendar from the
     /// components' own `next_wake` probes (plus a conservative wake of every
@@ -688,23 +618,14 @@ impl System {
     /// prefix.
     ///
     /// The prefix boundary is enforced exactly like a configured cycle
-    /// limit: the offload-drain planner caps its horizon at it, so no
-    /// planned drain injection crosses the boundary, and a later
+    /// limit: the cores settle every lazy interval at it, so a later
     /// [`System::run`] (or another prefix) continues byte-identically to a
     /// single uninterrupted run. A `until` at or past the configured
     /// `max_cycles` simply runs to that limit.
     pub fn run_prefix(&mut self, until: Cycle, lockstep: bool) -> bool {
-        let real_limit = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
-        let stop = until.min(real_limit);
-        // The drain planner's horizon reads `cfg.max_cycles` — pin it to the
-        // prefix stop for the duration so no window reaches past it, then
-        // restore the real limit (configuration travels as code; only the
-        // dynamic state below is checkpointed).
-        let saved = self.cfg.max_cycles;
-        self.cfg.max_cycles = stop;
+        let limit = if self.cfg.max_cycles == 0 { u64::MAX } else { self.cfg.max_cycles };
         let mut hub = ObserverHub::new(&mut []);
-        let (_, completed) = self.advance(stop, lockstep, &mut hub);
-        self.cfg.max_cycles = saved;
+        let (_, completed) = self.advance(until.min(limit), lockstep, &mut hub);
         completed
     }
 
@@ -740,12 +661,10 @@ impl System {
     ///
     /// Only *dynamic* state travels: the configuration, labels, workload
     /// streams and every piece of derived bookkeeping (address map, busy
-    /// counters, wake gates, scratch buffers, planner state) are
-    /// reconstructed from code by [`System::load_state`]. Snapshots are taken
-    /// at a settled run boundary — after [`System::run_prefix`] or a finished
-    /// run — where every core is settled and no offload-drain window is open:
-    /// the drain planner caps its horizon at the boundary precisely so this
-    /// holds.
+    /// counters, wake gates, scratch buffers) are reconstructed from code by
+    /// [`System::load_state`]. Snapshots are taken at a settled run boundary
+    /// — after [`System::run_prefix`] or a finished run — where every core is
+    /// settled.
     ///
     /// Identifiers carrying tag bits (request/transaction/vault ids,
     /// addresses) travel as hex bit patterns, functional-memory values and
@@ -754,14 +673,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if called away from a run boundary (unflushed drain
-    /// injections or an unsettled core), which would make the snapshot
-    /// lossy.
+    /// Panics if called away from a run boundary (an unsettled core), which
+    /// would make the snapshot lossy.
     pub fn state_to_json(&self) -> Json {
-        assert!(
-            self.drain_outbox.is_empty(),
-            "snapshot requires a flushed drain window (run to a prefix boundary first)"
-        );
         let mut func_mem: Vec<(u64, f64)> =
             self.func_mem.iter().map(|(addr, value)| (*addr, *value)).collect();
         func_mem.sort_by_key(|(addr, _)| *addr);
@@ -878,7 +792,6 @@ impl System {
             ("last_ipc_sample_insns", Json::from(self.last_ipc_sample_insns)),
             ("hmc_bytes", Json::from(self.hmc_bytes)),
             ("back_invalidations", Json::from(self.back_invalidations)),
-            ("drain_windows", Json::from(self.drain_windows)),
             ("resume_cycle", Json::from(self.resume_cycle)),
             ("report_cycle", Json::from(self.report_cycle)),
             ("completed", Json::from(self.prefix_completed)),
@@ -1087,7 +1000,6 @@ impl System {
         self.last_ipc_sample_insns = doc.req_u64("last_ipc_sample_insns")?;
         self.hmc_bytes = doc.req_u64("hmc_bytes")?;
         self.back_invalidations = doc.req_u64("back_invalidations")?;
-        self.drain_windows = doc.req_u64("drain_windows")?;
         self.resume_cycle = resume_cycle;
         self.report_cycle = report_cycle;
         self.prefix_completed = completed;
@@ -1095,8 +1007,6 @@ impl System {
         // ------------------------------------------------------------------
         // Derived state: recomputed, never trusted from the document.
         // ------------------------------------------------------------------
-        self.drain_until = 0;
-        self.drain_outbox.clear();
         self.armq.clear();
         self.arm_flags.fill(false);
         self.cores_done = self.cores.iter().filter(|c| c.is_done()).count();
@@ -1155,18 +1065,7 @@ impl System {
             // event or the interval's end. The lock-step reference keeps
             // ticking every core per cycle — and never arms an interval — so
             // it stays the per-cycle oracle the settle arithmetic must match.
-            if event && now < self.drain_until {
-                // A planned offload-drain window covers this cycle: every
-                // core's pipeline state was already committed to the window
-                // end when the window was armed, so the cluster only replays
-                // the window's host-controller submissions due now — at
-                // their true cycles and in their true order, keeping the
-                // memory side cycle-exact.
-                self.flush_drain_outbox(now);
-                wakes.schedule_next(Self::key_slot(SysKey::Cores), self.cores_next_wake(now));
-            } else {
-                self.step_cores(now, ratio, event, wakes, hub);
-            }
+            self.step_cores(now, ratio, event, wakes, hub);
         }
 
         // ------------------------------------------------------------------
@@ -1217,11 +1116,9 @@ impl System {
         self.due_flags = due_flags;
     }
 
-    /// The normal cores phase of one network cycle: the per-core-cycle
-    /// sub-loop (completion delivery, pipeline wakes, memory issue), barrier
-    /// release, the Message-Interface drain, and — in the event kernel — an
-    /// attempt to arm a new offload-drain window before the cluster's next
-    /// wake-up is scheduled.
+    /// The cores phase of one network cycle: the per-core-cycle sub-loop
+    /// (completion delivery, pipeline wakes, memory issue), barrier release
+    /// and the Message-Interface drain, then the cluster's next wake-up.
     fn step_cores(
         &mut self,
         now: Cycle,
@@ -1298,14 +1195,6 @@ impl System {
         }
         self.release_barriers(now * ratio, hub);
         self.drain_message_interfaces(now);
-        // With this cycle's per-cycle work done, the cluster may now be in
-        // the purely deterministic offload-drain regime: plan the whole
-        // window in closed form instead of ticking through it. Barrier
-        // release above may have stopped the run through an observer — an
-        // armed window would then leak past the stop, so never arm one.
-        if event_kernel && self.drain_fast_forward && !hub.stopped() {
-            self.try_arm_offload_drain(now);
-        }
         // Re-arm lazily: every network cycle while some core still ticks
         // (or has Message-Interface commands to drain), otherwise only at
         // the next pending completion delivery. A fully parked cluster
@@ -1387,15 +1276,6 @@ impl System {
     /// cores idles until the earliest such deadline (or until the memory side
     /// stimulates it).
     fn cores_next_wake(&self, now: Cycle) -> NextWake {
-        // A planned offload-drain window owns the cluster's schedule: the
-        // next wake is the next planned submission (or the window's end,
-        // where normal ticking resumes). This must come first — the dense
-        // per-core gates and MI flags already describe the *post-window*
-        // state, so the checks below would wake the cluster mid-window.
-        if now < self.drain_until {
-            let at = self.drain_outbox.front().map_or(self.drain_until, |inj| inj.cycle);
-            return NextWake::At(at.max(now + 1));
-        }
         // Undrained Message-Interface commands keep the cluster hot (the MI
         // serialises one command per network cycle regardless of the
         // pipeline being blocked).
@@ -1658,216 +1538,6 @@ impl System {
         self.cores_done += newly_done;
         // Submitting MI commands only produces packets and back-invalidations
         // (gather completions arrive through the host ports).
-        debug_assert!(self.host_scratch.completions.is_empty());
-        if !self.host_scratch.packets.is_empty() {
-            for (_, packet) in self.host_scratch.packets.drain(..) {
-                hmc.network.inject(now, packet);
-            }
-            Self::stimulate(&mut self.armq, &mut self.arm_flags, SysKey::Network);
-        }
-        for addr in self.host_scratch.back_invalidate.drain(..) {
-            let (copies, _dirty) = self.caches.back_invalidate(addr);
-            if copies > 0 {
-                self.back_invalidations += 1;
-            }
-        }
-    }
-
-    /// Tries to plan an offload-drain window starting after network cycle
-    /// `now` (see [`crate::drain`]). Called at the end of the event kernel's
-    /// cores phase, after this cycle's Message-Interface drain; on success
-    /// every drain core's pipeline state is committed to the window end in
-    /// one shot, the planned submissions are queued in `drain_outbox`, and
-    /// `drain_until` makes the cores phase replay-only until the window
-    /// ends.
-    ///
-    /// The guards establish that nothing outside the plan can touch the
-    /// cluster inside the window:
-    /// * the host controller is idle — no gather barrier can complete, so no
-    ///   gate opens and no observer event fires from the ports;
-    /// * no core memory transaction or completion is in flight — no core can
-    ///   unpark and the memory side cannot stimulate the cluster;
-    /// * every runnable core probes as a pure drain core
-    ///   ([`Core::offload_drain_probe`]); parked and done cores stay inert
-    ///   for the whole window (a barrier cannot release while a drain core
-    ///   still runs), and a compute-fast-forwarding core caps the window
-    ///   before its wake-up;
-    /// * the window closes before the next IPC sample boundary and before
-    ///   the cycle limit, and never opens *on* a boundary — the sample later
-    ///   in this same step must not read counters already advanced past the
-    ///   window.
-    fn try_arm_offload_drain(&mut self, now: Cycle) {
-        debug_assert!(self.drain_until <= now, "armed while a window is still open");
-        let ratio = self.cfg.core_cycles_per_network_cycle();
-        let core_cycle = now * ratio;
-        if core_cycle != 0 && core_cycle.is_multiple_of(IPC_WINDOW_CORE_CYCLES) {
-            return;
-        }
-        // The last network cycle the window may cover.
-        let mut horizon = self.next_ipc_boundary(now) - 1;
-        if self.cfg.max_cycles != 0 {
-            horizon = horizon.min(self.cfg.max_cycles.saturating_sub(1));
-        }
-        if horizon < now + MIN_DRAIN_CYCLES {
-            return;
-        }
-        match &self.backend {
-            Backend::Hmc(hmc) => match &hmc.controller {
-                Some(controller) if controller.is_idle() => {}
-                _ => return,
-            },
-            Backend::Dram(_) => return,
-        }
-        if !self.core_completions.is_empty() {
-            return;
-        }
-        // In-flight core transactions (loads/atomics awaiting a response)
-        // would deliver mid-window; cache writebacks (`core == usize::MAX`)
-        // never touch the cluster. The map is bounded by the per-core
-        // outstanding-request limits, so this scan is cheap.
-        if self.mem_txns.values().any(|txn| txn.core != usize::MAX) {
-            return;
-        }
-        // Classify every core: runnable cores must probe as drain cores,
-        // sleeping cores must be genuinely inert for the whole window.
-        let since = (now + 1) * ratio;
-        // Deep enough that truncating the probe's run walk can never end a
-        // window early: over `n` cycles a core pushes at most `n` drained
-        // commands plus one queue fill (see `crate::drain`).
-        let max_run = (horizon - now) + self.cfg.cores.mi_queue_depth as u64 + 8;
-        // Reused across windows (cleared here, not at the end: the classify
-        // loop below can bail out half-filled).
-        self.drain_plan_cores.clear();
-        self.drain_plan_states.clear();
-        self.drain_plan_pops.clear();
-        self.drain_plan_commands.clear();
-        self.drain_plan_cursors.clear();
-        for i in 0..self.cores.len() {
-            match self.core_wake_at[i] {
-                0 => {
-                    let Some(probe) = self.cores[i].offload_drain_probe(since, max_run) else {
-                        return;
-                    };
-                    self.drain_plan_cores.push(i);
-                    self.drain_plan_states.push(CoreDrain::new(&probe));
-                }
-                u64::MAX => {
-                    // Parked or done. Such a core never ticks mid-window,
-                    // but a non-empty MI would still demand per-cycle drain
-                    // service the plan does not model.
-                    if !self.cores[i].mi().is_empty() {
-                        return;
-                    }
-                }
-                at => {
-                    // A compute-fast-forwarding core sleeps until core cycle
-                    // `at`: close the window before the network cycle whose
-                    // sub-loop ticks it.
-                    if !self.cores[i].mi().is_empty() {
-                        return;
-                    }
-                    let wake_nc = at / ratio;
-                    if wake_nc <= now + MIN_DRAIN_CYCLES {
-                        return;
-                    }
-                    horizon = horizon.min(wake_nc - 1);
-                }
-            }
-        }
-        if self.drain_plan_cores.is_empty() {
-            return;
-        }
-        // Plan the window on pure scalars (the fast-forward caps above may
-        // have pulled the horizon in).
-        let n = drain::plan(
-            &mut self.drain_plan_states,
-            ratio,
-            horizon - now,
-            MAX_WINDOW_POPS,
-            &mut self.drain_plan_pops,
-        );
-        if n < MIN_DRAIN_CYCLES {
-            return;
-        }
-        // Commit: collect each drain core's submission stream (flat, with a
-        // cursor marking where each core's span starts), expand the pop
-        // schedule into the outbox (cycle-major, core-ascending within a
-        // cycle — exactly the per-cycle drain phase's submission order), and
-        // apply the window to every drain core in one shot.
-        debug_assert!(self.drain_outbox.is_empty(), "outbox left over from a previous window");
-        for slot in 0..self.drain_plan_cores.len() {
-            let i = self.drain_plan_cores[slot];
-            let start = self.drain_plan_commands.len();
-            self.cores[i].peek_drain_commands(
-                self.drain_plan_states[slot].pops,
-                &mut self.drain_plan_commands,
-            );
-            debug_assert_eq!(
-                (self.drain_plan_commands.len() - start) as u64,
-                self.drain_plan_states[slot].pops
-            );
-            self.drain_plan_cursors.push(start);
-        }
-        for &(rel, slot) in &self.drain_plan_pops {
-            let slot = slot as usize;
-            let cmd = self.drain_plan_commands[self.drain_plan_cursors[slot]];
-            self.drain_plan_cursors[slot] += 1;
-            self.drain_outbox.push_back(DrainInjection { cycle: now + rel, cmd });
-        }
-        let end_ready_at = (now + 1 + n) * ratio;
-        for (slot, &i) in self.drain_plan_cores.iter().enumerate() {
-            let st = &self.drain_plan_states[slot];
-            self.cores[i].finish_offload_drain(&OffloadDrainOutcome {
-                core_cycles: n * ratio,
-                end_ready_at,
-                retired: st.retired,
-                stall_offload: st.stall_offload,
-                stall_rob_full: st.stall_rob_full,
-                pushes: st.pushes,
-                pops: st.pops,
-            });
-            debug_assert!(!self.cores[i].is_done(), "a drain window cannot finish a core");
-            // The dense MI flag must describe the post-window queue for the
-            // cycle that resumes normal draining.
-            let mi_now = !self.cores[i].mi().is_empty();
-            if mi_now != self.mi_pending[i] {
-                self.mi_pending[i] = mi_now;
-                if mi_now {
-                    self.mi_pending_cores += 1;
-                } else {
-                    self.mi_pending_cores -= 1;
-                }
-            }
-        }
-        self.drain_until = now + n + 1;
-        self.drain_windows += 1;
-    }
-
-    /// Replays the planned submissions of the current drain window that are
-    /// due at `now`: each command is submitted to the host controller and
-    /// the batch's packets injected exactly as the per-cycle drain phase
-    /// would have, then the back-invalidations apply in submission order.
-    fn flush_drain_outbox(&mut self, now: Cycle) {
-        debug_assert!(now < self.drain_until);
-        let Backend::Hmc(hmc) = &mut self.backend else {
-            debug_assert!(false, "drain windows only arm on the HMC backend");
-            return;
-        };
-        let Some(controller) = hmc.controller.as_mut() else {
-            debug_assert!(false, "drain windows only arm with a host controller");
-            return;
-        };
-        self.host_scratch.clear();
-        while let Some(front) = self.drain_outbox.front() {
-            if front.cycle > now {
-                break;
-            }
-            debug_assert_eq!(front.cycle, now, "a planned submission cycle was skipped");
-            let inj = self.drain_outbox.pop_front().expect("front just checked");
-            controller.submit_into(now, inj.cmd, &mut self.host_scratch);
-        }
-        // Drain windows submit only `Update` commands: packets and
-        // back-invalidations, never gather completions.
         debug_assert!(self.host_scratch.completions.is_empty());
         if !self.host_scratch.packets.is_empty() {
             for (_, packet) in self.host_scratch.packets.drain(..) {
@@ -2239,14 +1909,6 @@ impl System {
         self.cores.iter().filter(|c| c.fast_forward_until().is_some()).count()
     }
 
-    /// Number of offload-drain windows planned so far. A diagnostic: the
-    /// whole point of the planner is that reports cannot tell a planned
-    /// window from per-cycle ticking, so the only observable trace is this
-    /// counter (the kernel tests and the bench harness read it).
-    pub fn drain_windows(&self) -> u64 {
-        self.drain_windows
-    }
-
     fn into_report(self, network_cycles: u64, completed: bool) -> SimReport {
         let ratio = self.cfg.core_cycles_per_network_cycle();
         let cache = self.caches.stats();
@@ -2423,8 +2085,8 @@ mod tests {
         }
     }
 
-    /// A system whose cores each issue a long run of `Update` offloads — the
-    /// MI-full drain regime of the offload-drain fast-forward.
+    /// A system whose cores each issue a long run of `Update` offloads
+    /// against a back-pressuring Message Interface.
     fn offload_run_system() -> System {
         let mut cfg = SystemConfig::small().with_scheme(ar_types::config::OffloadScheme::ArfTid);
         cfg.max_cycles = 1_000_000;
@@ -2452,63 +2114,16 @@ mod tests {
         System::new(cfg, streams, Vec::new()).expect("valid configuration")
     }
 
-    /// The drain-window arming probe: reports are byte-identical with and
-    /// without the window planner (the equivalence suite owns that axis), so
-    /// this is the one place that verifies the event kernel really plans
-    /// windows in the offload regime — and that the lock-step reference and
-    /// the disabled knob never do.
-    #[test]
-    fn event_kernel_plans_drain_windows_on_offload_runs() {
-        let mut sys = offload_run_system();
-        drive_steps(&mut sys, true, 64);
-        assert!(sys.drain_windows() > 0, "the offload regime must arm a drain window");
-
-        let mut lockstep = offload_run_system();
-        drive_steps(&mut lockstep, false, 64);
-        assert_eq!(lockstep.drain_windows(), 0, "the per-cycle oracle must never plan");
-
-        let mut disabled = offload_run_system().with_drain_fast_forward(false);
-        drive_steps(&mut disabled, true, 64);
-        assert_eq!(disabled.drain_windows(), 0, "the knob must gate planning");
-    }
-
-    /// Inside a planned window the cluster must wake only at the planned
-    /// submission cycles, never every network cycle.
-    #[test]
-    fn drain_window_cluster_wakes_at_planned_submissions_only() {
-        let mut sys = offload_run_system();
-        let mut steps = 0;
-        while sys.drain_windows() == 0 {
-            drive_steps(&mut sys, true, steps + 1);
-            steps += 1;
-            assert!(steps < 64, "offload regime must arm within a few cycles");
-            if sys.drain_windows() > 0 {
-                break;
-            }
-            sys = offload_run_system();
-        }
-        assert!(sys.drain_until > 0);
-        let now = sys.drain_until - 1;
-        match sys.cores_next_wake(now.saturating_sub(1)) {
-            NextWake::At(at) => {
-                let front = sys.drain_outbox.front().map_or(sys.drain_until, |inj| inj.cycle);
-                assert_eq!(at, front.max(now), "cluster must wake at the next planned submission");
-            }
-            NextWake::Idle => panic!("a window-covered cluster still has scheduled submissions"),
-        }
-    }
-
-    /// End-to-end: the offload-regime run finishes with the identical report
-    /// whether the drain schedule is planned or ticked, and the planner
-    /// actually covers a substantial share of the run.
+    /// End-to-end: the offload-regime run, whose cluster stays hot while
+    /// the Message Interfaces drain one command per network cycle, finishes
+    /// with the identical report on the event kernel and the per-cycle
+    /// oracle.
     #[test]
     fn planned_and_ticked_offload_runs_report_identically() {
-        let planned = offload_run_system().run();
-        let ticked = offload_run_system().with_drain_fast_forward(false).run();
+        let event = offload_run_system().run();
         let lockstep = offload_run_system().run_lockstep();
-        assert_eq!(planned, ticked, "drain planning must not change the report");
-        assert_eq!(planned, lockstep, "the event kernel must match the per-cycle oracle");
-        assert!(planned.completed);
-        assert_eq!(planned.updates_offloaded, 4 * 2_000);
+        assert_eq!(event, lockstep, "the event kernel must match the per-cycle oracle");
+        assert!(event.completed);
+        assert_eq!(event.updates_offloaded, 4 * 2_000);
     }
 }

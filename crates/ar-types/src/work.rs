@@ -69,12 +69,6 @@ pub enum WorkItem {
 }
 
 impl WorkItem {
-    /// Dynamic instruction count of an `Update` item, as a named constant
-    /// for closed-form schedules (the offload-drain planner) that fold it
-    /// into scalar arithmetic instead of matching on an item in hand. Must
-    /// agree with [`WorkItem::instruction_count`].
-    pub const UPDATE_INSNS: u64 = 3;
-
     /// Number of dynamic instructions this item represents (used for IPC
     /// accounting, Fig. 5.8).
     pub fn instruction_count(&self) -> u64 {

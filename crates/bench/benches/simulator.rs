@@ -113,17 +113,14 @@ fn bench_kernel_fastforward(c: &mut Criterion) {
     group.finish();
 }
 
-/// The system-level offload-drain fast-forward on the workload shape it
-/// targets: long MI-full `Update` runs (`bench::OffloadBursts`) under the
-/// ARF-tid offload scheme. The event kernel plans each back-pressured drain
-/// interval in closed form (`ar_system::drain`) and sleeps the whole core
-/// cluster until the interval ends, submitting the planned commands from a
-/// precomputed outbox; the `_off` rows run the same simulation with the
-/// planner disabled (per-cycle MI pops, the PR 5 event kernel), and the
-/// lock-step row is the full per-cycle reference. All three produce
-/// byte-identical reports — only the wall clock differs. Quick scale gates
-/// the planner's win on a small cluster; paper scale is the configuration
-/// the figure-regeneration runs actually pay for.
+/// Both kernels on long back-pressured `Update` runs
+/// (`bench::OffloadBursts`) under the ARF-tid offload scheme: every Message
+/// Interface drains one command per network cycle, so the event kernel
+/// keeps the core cluster awake for the whole run and skips only idle
+/// memory-side components. The lock-step row is the full per-cycle
+/// reference; both produce byte-identical reports — only the wall clock
+/// differs. Quick scale is a small cluster; paper scale is the
+/// configuration the figure-regeneration runs actually pay for.
 fn bench_kernel_offload(c: &mut Criterion) {
     let scales: [(&str, ar_types::config::SystemConfig, usize, usize); 2] = [
         ("quick", BENCH_SCALE.system_config(), 4_096, 10),
@@ -133,25 +130,23 @@ fn bench_kernel_offload(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("kernel_offload_{scale}"));
         group.sample_size(samples);
         let bursts = bench::OffloadBursts { updates_per_thread: updates };
-        let build = |drain: bool| {
+        let build = || {
             Simulation::builder()
                 .config(base.clone())
                 .named(NamedConfig::ArfTid)
                 .workload(bursts)
                 .size(SizeClass::Tiny)
-                .drain_fast_forward(drain)
                 .build()
                 .expect("valid configuration")
                 .into_system()
         };
-        let report = build(true).run();
+        let report = build().run();
         println!(
             "kernel_offload_{scale}: {} simulated network cycles, {} updates offloaded per run",
             report.network_cycles, report.updates_offloaded
         );
-        group.bench_function("bursts_drain_fast_forward", |b| b.iter(|| build(true).run()));
-        group.bench_function("bursts_off", |b| b.iter(|| build(false).run()));
-        group.bench_function("bursts_lockstep", |b| b.iter(|| build(true).run_lockstep()));
+        group.bench_function("bursts_event_driven", |b| b.iter(|| build().run()));
+        group.bench_function("bursts_lockstep", |b| b.iter(|| build().run_lockstep()));
         group.finish();
     }
 }
@@ -243,7 +238,7 @@ fn bench_kernel_checkpoint(c: &mut Criterion) {
     // prefix + three resumed tails, vs three cold full runs.
     let variants = [
         CellKnobs::default(),
-        CellKnobs { drain_fast_forward: Some(false), ..CellKnobs::default() },
+        CellKnobs { fast_forward: Some(true), ..CellKnobs::default() },
         CellKnobs { fast_forward: Some(false), ..CellKnobs::default() },
     ];
     let cell = CellKey::new("pagerank", NamedConfig::ArfTid, SizeClass::Small);

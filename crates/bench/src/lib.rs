@@ -90,13 +90,12 @@ impl Workload for ComputeBursts {
     }
 }
 
-/// A synthetic offload-burst workload for the offload-drain fast-forward
-/// benchmarks and regression gates: every thread issues long uninterrupted
-/// `Update` runs against a back-pressuring Message Interface — the MI-full
-/// drain regime `ar_system::drain` computes in closed form — and closes its
-/// flow with one gather. The nine built-in workloads interleave their update
-/// runs with loads and computes, so their windows are shorter; this one
-/// maximizes the planner's share of the run.
+/// A synthetic offload-burst workload for the offload kernel benchmarks and
+/// the weak-scaling gate: every thread issues one long uninterrupted
+/// `Update` run against a back-pressuring Message Interface and closes its
+/// flow with one gather. The nine built-in workloads interleave their
+/// update runs with loads and computes; this one keeps every Message
+/// Interface full for the whole run.
 #[derive(Debug, Clone, Copy)]
 pub struct OffloadBursts {
     /// `Update` items per thread.

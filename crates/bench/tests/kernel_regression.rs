@@ -1,15 +1,18 @@
 //! Bench smoke gate: the event-driven kernel must not regress past the
 //! lock-step reference on a memory-bound workload.
 //!
-//! The whole point of the scheduler (and of the lazy stall accounting /
-//! batched vault drains on top of it) is wall-clock speedup at identical
-//! reports; a change that keeps equivalence but loses the speedup would
-//! silently sail through the functional suites. This test times both kernels
-//! on a pagerank run and fails if event-driven is slower than lock-step.
+//! The whole point of the scheduler (and of the lazy stall accounting on
+//! top of it) is wall-clock speedup at identical reports; a change that
+//! keeps equivalence but loses the speedup would silently sail through the
+//! functional suites. This file holds three wall-clock gates: event-driven
+//! vs lock-step on quick pagerank, and the compute fast-forward on
+//! paper-scale pagerank (parity) and on the synthetic compute bursts (a real
+//! speedup).
 //!
 //! Compiled only with optimizations (`cargo test --release -p bench`): debug
 //! timings are dominated by assertion and bounds-check overhead and would
-//! make the comparison meaningless. CI runs it in the bench-smoke step.
+//! make the comparison meaningless. CI runs it in the kernel-regression
+//! step.
 
 #![cfg(not(debug_assertions))]
 
@@ -139,91 +142,6 @@ fn fast_forward_does_not_regress_on_paper_scale_pagerank() {
     assert!(
         on.as_secs_f64() <= off.as_secs_f64() * 1.15,
         "fast-forwarding regressed past the plain event kernel on pagerank: {on:?} vs {off:?}"
-    );
-}
-
-fn build_paper_drain(drain: bool) -> ar_system::System {
-    Simulation::builder()
-        .config(ar_experiments::ExperimentScale::Full.system_config())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Paper)
-        .drain_fast_forward(drain)
-        .build()
-        .expect("valid configuration")
-        .into_system()
-}
-
-/// The offload-drain fast-forward must hold at least parity on paper-scale
-/// pagerank: forcing the planner on (its default for offloading workloads)
-/// may not run meaningfully slower than the planner-free event kernel (the
-/// PR 5 behaviour), and must produce the identical report. Pagerank's update
-/// runs are interleaved with loads and computes, so windows are scarce —
-/// exactly the regime where a planner whose arming probe costs more than the
-/// core ticks it skips would silently tax every paper run. The 15% head-room
-/// absorbs scheduler noise on shared runners.
-#[test]
-fn drain_fast_forward_does_not_regress_on_paper_scale_pagerank() {
-    let _ = build_paper_drain(false).run();
-    let reports = RefCell::new(Vec::new());
-    let (off, on) = ab_best_of(
-        3,
-        || timed(build_paper_drain(false), &reports),
-        || timed(build_paper_drain(true), &reports),
-    );
-    println!(
-        "paper-scale pagerank/ARF-tid: drain fast-forward off {:?} vs on {:?} ({:.2}x)",
-        off,
-        on,
-        off.as_secs_f64() / on.as_secs_f64()
-    );
-    assert_reports_agree(&reports, "the drain planner");
-    assert!(
-        on.as_secs_f64() <= off.as_secs_f64() * 1.15,
-        "the drain planner regressed past the plain event kernel on pagerank: {on:?} vs {off:?}"
-    );
-}
-
-/// On the workload the drain planner is *for* — long uninterrupted MI-full
-/// `Update` runs — planned windows must hold parity with per-cycle ticking
-/// at an identical report. Parity, not speedup, is the honest contract: the
-/// window's host submissions and packet injections must still replay at
-/// their exact per-cycle timestamps for byte-identity, and the memory side
-/// (network, engines, vaults) dominates the wall clock of an offload drain,
-/// so the planner can only remove the core-cluster ticking — a real but
-/// small slice. What this gate catches is the planner *costing* time: an
-/// arming probe that re-walks streams without committing windows, or a
-/// replay path more expensive than the ticking it replaced. The
-/// `kernel_offload` bench group tracks the actual margin.
-#[test]
-fn drain_fast_forward_holds_parity_on_offload_bursts() {
-    let bursts = bench::OffloadBursts { updates_per_thread: 4_096 };
-    let build = |drain: bool| {
-        Simulation::builder()
-            .config(bench::BENCH_SCALE.system_config())
-            .named(NamedConfig::ArfTid)
-            .workload(bursts)
-            .size(SizeClass::Tiny)
-            .drain_fast_forward(drain)
-            .build()
-            .expect("valid configuration")
-            .into_system()
-    };
-    let _ = build(true).run();
-    let reports = RefCell::new(Vec::new());
-    let (off, on) =
-        ab_best_of(4, || timed(build(false), &reports), || timed(build(true), &reports));
-    println!(
-        "offload bursts: drain fast-forward off {:?} vs on {:?} ({:.2}x)",
-        off,
-        on,
-        off.as_secs_f64() / on.as_secs_f64()
-    );
-    assert!(reports.borrow()[0].updates_offloaded > 0, "the burst workload must actually offload");
-    assert_reports_agree(&reports, "the drain planner");
-    assert!(
-        on.as_secs_f64() <= off.as_secs_f64() * 1.15,
-        "the drain planner costs wall-clock on its own target workload: {on:?} vs {off:?}"
     );
 }
 

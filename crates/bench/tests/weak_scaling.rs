@@ -24,7 +24,7 @@
 //! machine has run, so it reflects that machine's own peak.
 //!
 //! Compiled only with optimizations (`cargo test --release -p bench`): debug
-//! timings would make the ratio meaningless. CI runs it in the bench-smoke
+//! timings would make the ratio meaningless. CI runs it in the kernel-regression
 //! step.
 
 #![cfg(not(debug_assertions))]

@@ -292,10 +292,38 @@ fn redirect_first_operand_slot(ck: &mut Checkpoint, list: &str, free: bool) -> b
     false
 }
 
+/// Points the first slotted local operand read of some engine at another
+/// live entry of that engine's operand pool, one held by a different
+/// update. Returns whether a read was rewritten.
+fn lend_first_local_read_slot(ck: &mut Checkpoint) -> bool {
+    let engines = array_mut(field_mut(field_mut(&mut ck.state, "backend"), "engines"));
+    for engine in engines {
+        let slots = array_mut(field_mut(field_mut(engine, "operands"), "slots")).clone();
+        for entry in array_mut(field_mut(engine, "pending_reads")) {
+            let purpose = field_mut(entry, "purpose");
+            if *field_mut(purpose, "t") != Json::from("local")
+                || *field_mut(purpose, "slot") == Json::Null
+            {
+                continue;
+            }
+            let update = field_mut(field_mut(purpose, "ctx"), "update_id").clone();
+            let lent = slots.iter().position(|slot| {
+                *slot != Json::Null && slot.get("update_id").is_some_and(|id| *id != update)
+            });
+            if let Some(lent) = lent {
+                *field_mut(purpose, "slot") = Json::from(lent);
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// An operand slot indexes the engine's operand pool, so a restored ALU
 /// operation or outstanding local operand read must name an entry the
-/// restored pool holds — not be accepted and then crash the resumed run
-/// when the first commit or operand arrival indexes the pool.
+/// restored pool holds for its own update — not be accepted and then crash
+/// the resumed run when the first commit or operand arrival indexes the
+/// pool.
 #[test]
 fn operand_slots_the_pool_does_not_hold_fail_to_restore() {
     let build = || {
@@ -316,6 +344,13 @@ fn operand_slots_the_pool_does_not_hold_fail_to_restore() {
         let target = if free { "a free entry" } else { "entry 4096" };
         assert!(restore.is_err(), "the {list} slot pointing at {target} must not restore");
     }
+    // A local read naming another update's live entry passes the range and
+    // free checks, but that entry is released when its own update commits,
+    // and the read's arrival then indexes an empty slot.
+    let mut ck = pristine.clone();
+    assert!(lend_first_local_read_slot(&mut ck), "no slotted local read beside another entry");
+    let err = build().from_checkpoint(ck).build().expect_err("a lent slot must not restore");
+    assert!(err.to_string().contains("but is referenced by update"), "{err}");
     // A free stack listing its top entry twice, in place of another empty
     // entry, still covers the pool's size, but would hand that entry to two
     // updates.

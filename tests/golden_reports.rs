@@ -134,41 +134,6 @@ fn golden_corpus_matches_fixtures_with_fast_forward() {
     }
 }
 
-/// The offload-drain fast-forward must reproduce the frozen corpus
-/// *unchanged*: planned drain windows replay their host submissions and
-/// packet injections at the exact per-cycle timestamps the ticked kernel
-/// would have produced, so forcing the planner on — the builder's default
-/// keeps it off for cells that never offload — must match the exact bytes
-/// the per-cycle MI-pop path pinned. Skipped under `UPDATE_GOLDEN=1` like
-/// the fast-forward comparison.
-#[test]
-fn golden_corpus_matches_fixtures_with_drain_fast_forward() {
-    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
-        eprintln!(
-            "UPDATE_GOLDEN=1: skipping the drain fast-forward comparison (regeneration mode)"
-        );
-        return;
-    }
-    for (config, kind, size) in CELLS {
-        let label = format!("{kind}/{config}/{size} @ drain_fast_forward");
-        let report = Simulation::builder()
-            .config(quick_cfg())
-            .named(config)
-            .workload(kind)
-            .size(size)
-            .drain_fast_forward(true)
-            .build()
-            .expect("valid configuration")
-            .run();
-        let path = fixture_path(config, kind, size);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{label}: missing fixture {} ({e})", path.display()));
-        let golden = SimReport::from_json(&Json::parse(&text).expect("well-formed fixture JSON"))
-            .expect("fixture must deserialize");
-        assert_eq!(report, golden, "{label}: drain fast-forward drifted from the golden fixture");
-    }
-}
-
 /// The corpus must round-trip through the JSON shim losslessly — otherwise a
 /// fixture mismatch could be a serialization artefact rather than a timing
 /// drift.

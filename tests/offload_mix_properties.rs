@@ -1,21 +1,19 @@
-//! Differential property suite for the system-level offload-drain
-//! fast-forward (`ar_system::drain` + the arming/commit path in `System`).
+//! Event-driven vs lock-step property suite for offload-heavy runs.
 //!
-//! The drain planner replays whole MI-full offload intervals from a scalar
-//! mirror of the core model — retire/issue schedules, Message-Interface
-//! pops, host submissions, stall attribution — so its correctness contract
-//! is *byte identity*: for any workload, any core shape and any truncation,
-//! the report with the planner on must equal the report with it off and the
-//! lock-step reference. This suite sweeps that contract over randomized
-//! inputs, all driven by the workspace's deterministic [`SimRng`]:
+//! While a core offloads, its Message Interface (Section 3.1.2) sends one
+//! command per network cycle, so the event kernel must keep the core
+//! cluster awake through a back-pressured `Update` run and let it sleep
+//! again once the queues empty. The correctness contract is *byte
+//! identity*: for any offload mix, any core shape and any truncation, the
+//! event kernel's report must equal the lock-step reference's. This suite
+//! sweeps that contract over randomized inputs, all driven by the
+//! workspace's deterministic [`SimRng`]:
 //!
-//! * random Message-Interface depths, issue widths and ROB sizes (the
-//!   scalars the closed-form window arithmetic runs on);
+//! * random Message-Interface depths, issue widths and ROB sizes;
 //! * random command mixes — long `Update` runs interrupted by loads,
-//!   computes, two-operand ops and gathers, so windows end on every
-//!   abort/stop condition the planner has;
-//! * IPC sample probes ([`Sample`] streams compared sample-for-sample, the
-//!   boundaries windows must split at) and random `max_cycles` truncations.
+//!   computes, two-operand ops and gathers;
+//! * IPC sample probes ([`Sample`] streams compared sample-for-sample) and
+//!   random `max_cycles` truncations.
 
 use active_routing_repro::ar_sim::SimRng;
 use active_routing_repro::ar_system::{
@@ -27,9 +25,10 @@ use active_routing_repro::ar_workloads::{GeneratedWorkload, SizeClass, Variant, 
 use std::sync::{Arc, Mutex};
 
 /// A randomized offload-heavy workload: every thread issues a few long
-/// `Update` runs (the MI-full drain regime) salted with the other item
-/// kinds, then closes its flow with a gather. Generation is a pure function
-/// of the seed, so every builder call sees the identical streams.
+/// `Update` runs against a back-pressuring Message Interface, salted with
+/// the other item kinds, then closes its flow with a gather. Generation is a
+/// pure function of the seed, so every builder call sees the identical
+/// streams.
 struct OffloadMix {
     seed: u64,
 }
@@ -91,9 +90,8 @@ impl Workload for OffloadMix {
     }
 }
 
-/// A random core shape: the scalars the window planner's closed-form
-/// arithmetic runs on. Tiny MI depths and ROBs maximize back-pressure (and
-/// window aborts); wide shapes maximize window length.
+/// A random core shape. Tiny MI depths and ROBs maximize back-pressure;
+/// wide shapes maximize the issue rate the Message Interface must absorb.
 fn random_cfg(rng: &mut SimRng) -> SystemConfig {
     let mut cfg = SystemConfig::small().with_scheme(OffloadScheme::ArfTid);
     cfg.max_cycles = 10_000_000;
@@ -117,10 +115,10 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
 }
 
 /// The main differential sweep: random core shapes × random command mixes,
-/// each run with the planner on, off and under the lock-step reference —
-/// three byte-identical reports per case.
+/// each run on the event kernel and the lock-step reference — two
+/// byte-identical reports per case.
 #[test]
-fn drain_planner_is_byte_identical_across_kernels_and_shapes() {
+fn offload_mixes_are_byte_identical_across_kernels_and_shapes() {
     let mut rng = SimRng::seed_from_u64(0xD4A1_FF5D);
     for case in 0..10u64 {
         let cfg = random_cfg(&mut rng);
@@ -131,13 +129,11 @@ fn drain_planner_is_byte_identical_across_kernels_and_shapes() {
                 .workload(OffloadMix { seed })
                 .size(SizeClass::Tiny)
         };
-        let on = build().drain_fast_forward(true).build().expect("valid").run();
-        assert!(on.completed, "case {case}: the offload mix must finish");
-        assert!(on.updates_offloaded > 0, "case {case}: the mix must offload");
-        let off = build().drain_fast_forward(false).build().expect("valid").run();
-        assert_reports_identical(&on, &off, &format!("case {case}: planner on vs off"));
+        let event = build().build().expect("valid").run();
+        assert!(event.completed, "case {case}: the offload mix must finish");
+        assert!(event.updates_offloaded > 0, "case {case}: the mix must offload");
         let lockstep = build().lockstep().build().expect("valid").run();
-        assert_reports_identical(&on, &lockstep, &format!("case {case}: planner vs lock-step"));
+        assert_reports_identical(&event, &lockstep, &format!("case {case}: event vs lock-step"));
     }
 }
 
@@ -155,22 +151,21 @@ impl Observer for SharedSamples {
     }
 }
 
-/// IPC samples taken while cores drain offload runs must match the
-/// per-cycle kernels sample-for-sample: windows never cross an IPC
-/// boundary, so every sample reads the same settled counts.
+/// IPC samples taken while cores issue offload runs must match the
+/// lock-step kernel sample-for-sample: every sample reads the same settled
+/// counts.
 #[test]
-fn ipc_samples_during_drain_windows_match_per_cycle() {
+fn ipc_samples_during_offload_runs_match_per_cycle() {
     let mut rng = SimRng::seed_from_u64(0x1BC_B80B);
     for case in 0..4u64 {
         let cfg = random_cfg(&mut rng);
         let seed = rng.next_u64();
-        let run = |dff: bool, lockstep: bool| {
+        let run = |lockstep: bool| {
             let samples = SharedSamples::default();
             let mut b = Simulation::builder()
                 .config(cfg.clone())
                 .workload(OffloadMix { seed })
                 .size(SizeClass::Tiny)
-                .drain_fast_forward(dff)
                 .observer(samples.clone());
             if lockstep {
                 b = b.lockstep();
@@ -179,21 +174,17 @@ fn ipc_samples_during_drain_windows_match_per_cycle() {
             let log = samples.0.lock().expect("sample log").clone();
             (report, log)
         };
-        let (on_report, on_samples) = run(true, false);
-        let (off_report, off_samples) = run(false, false);
-        let (lockstep_report, lockstep_samples) = run(true, true);
-        assert!(on_report.completed, "case {case}: run must finish");
-        assert_eq!(on_report, off_report, "case {case}: the knob changed the report");
-        assert_eq!(on_report, lockstep_report, "case {case}: kernels diverged");
-        assert_eq!(on_samples, off_samples, "case {case}: the knob changed the sample stream");
-        assert_eq!(on_samples, lockstep_samples, "case {case}: sample streams diverged");
+        let (event_report, event_samples) = run(false);
+        let (lockstep_report, lockstep_samples) = run(true);
+        assert!(event_report.completed, "case {case}: run must finish");
+        assert_eq!(event_report, lockstep_report, "case {case}: kernels diverged");
+        assert_eq!(event_samples, lockstep_samples, "case {case}: sample streams diverged");
     }
 }
 
-/// Random `max_cycles` truncations: the planner caps every window at
-/// `max_cycles − 1`, so a limit landing anywhere — including where a window
-/// would otherwise extend — must settle both kernels to identical
-/// (incomplete) statistics.
+/// Random `max_cycles` truncations: a limit landing anywhere — including
+/// inside a back-pressured `Update` run — must settle both kernels to
+/// identical (incomplete) statistics.
 #[test]
 fn random_cycle_limits_truncate_identically() {
     let mut rng = SimRng::seed_from_u64(0x7B0_C833);
@@ -208,14 +199,12 @@ fn random_cycle_limits_truncate_identically() {
                 .workload(OffloadMix { seed })
                 .size(SizeClass::Tiny)
         };
-        let on = build().drain_fast_forward(true).build().expect("valid").run();
-        let off = build().drain_fast_forward(false).build().expect("valid").run();
+        let event = build().build().expect("valid").run();
         let lockstep = build().lockstep().build().expect("valid").run();
-        assert_reports_identical(&on, &off, &format!("case {case}: truncated on vs off"));
-        assert_reports_identical(&on, &lockstep, &format!("case {case}: truncated vs lock-step"));
-        if !on.completed {
+        assert_reports_identical(&event, &lockstep, &format!("case {case}: truncated runs"));
+        if !event.completed {
             truncated += 1;
-            assert_eq!(on.network_cycles, cfg.max_cycles, "case {case}: cut at the limit");
+            assert_eq!(event.network_cycles, cfg.max_cycles, "case {case}: cut at the limit");
         }
     }
     assert!(truncated >= 4, "the limit sweep must actually truncate runs (hit {truncated})");

@@ -9,10 +9,11 @@
 //! counter, latency breakdown, gather result and IPC sample.
 //!
 //! This suite is the safety net of the lazy timing models: parked cores
-//! (interval-based stall accounting) and batched vault drains are skipped by
-//! the event-driven kernel but exercised per cycle by the lock-step
-//! reference, so any divergence in their settle/batch arithmetic surfaces
-//! here as a report mismatch. The full matrix covers **all nine built-in
+//! (interval-based stall accounting), fast-forwarded compute blocks and
+//! memory-side components with nothing due are skipped by the event-driven
+//! kernel but processed every cycle by the lock-step reference, so any
+//! divergence in their settle arithmetic or wake-ups surfaces here as a
+//! report mismatch. The full matrix covers **all nine built-in
 //! workloads × all six named configurations** at quick scale, one test per
 //! workload, with every assertion naming its (workload, config) cell.
 //!
@@ -80,13 +81,6 @@ fn assert_identical(event: &SimReport, lockstep: &SimReport, label: &str) {
 /// the workload's compute-block statistics, so both forced modes genuinely
 /// differ from some default) — the analytic retire/issue schedule may never
 /// change a single report byte.
-///
-/// The final sweep is the **offload-drain axis**: the closed-form drain
-/// planner forced on and off (the builder's default enables it exactly when
-/// the workload offloads, so both forced modes differ from some default). A
-/// planned drain window replays the whole MI-full interval — retire/issue
-/// schedules, Message-Interface pops, host submissions, stall attribution —
-/// from the scalar model, and none of it may change a single report byte.
 fn assert_workload_equivalence(kind: WorkloadKind) {
     for named in NamedConfig::ALL_WITH_ADAPTIVE {
         let (event, lockstep) = run_both(named, kind, SizeClass::Tiny);
@@ -99,18 +93,6 @@ fn assert_workload_equivalence(kind: WorkloadKind) {
                 .expect("valid configuration")
                 .run();
             assert_identical(&event, &fast, &format!("{kind}/{named} @ fast_forward={ff}"));
-        }
-        for dff in [true, false] {
-            let drained = builder(named, kind, SizeClass::Tiny)
-                .drain_fast_forward(dff)
-                .build()
-                .expect("valid configuration")
-                .run();
-            assert_identical(
-                &event,
-                &drained,
-                &format!("{kind}/{named} @ drain_fast_forward={dff}"),
-            );
         }
         // The snapshot/restore axis: split the cell at its halfway cycle,
         // round-trip the checkpoint through its serialized form and resume;
@@ -244,18 +226,6 @@ fn cycle_limit_truncates_both_kernels_identically() {
             .run();
         assert_identical(&event, &fast, &format!("truncated pagerank @ fast_forward={ff}"));
     }
-    // The drain planner caps every window at `max_cycles - 1`, so a forced-on
-    // run must hit the limit with the identical truncated numbers.
-    let drained = Simulation::builder()
-        .config(cfg.clone())
-        .named(NamedConfig::ArfTid)
-        .workload(WorkloadKind::Pagerank)
-        .size(SizeClass::Tiny)
-        .drain_fast_forward(true)
-        .build()
-        .expect("valid")
-        .run();
-    assert_identical(&event, &drained, "truncated pagerank @ drain_fast_forward=true");
 }
 
 /// An observer stopping the run early must also leave both kernels with
@@ -277,21 +247,6 @@ fn observer_stop_truncates_both_kernels_identically() {
         let lockstep = run(true);
         assert!(!event.completed, "deadline {deadline} must cut the small run short");
         assert_identical(&event, &lockstep, &format!("deadline-{deadline} pagerank/ARF-tid"));
-        // Windows never arm while an observer has stopped the run, and the
-        // stop boundary can never land inside a window (drain arming is
-        // excluded on IPC boundaries, where deadline stops fire) — forced-on
-        // planning must truncate to the identical report.
-        let drained = builder(NamedConfig::ArfTid, WorkloadKind::Pagerank, SizeClass::Small)
-            .observer(DeadlineStop::at(deadline))
-            .drain_fast_forward(true)
-            .build()
-            .expect("valid")
-            .run();
-        assert_identical(
-            &event,
-            &drained,
-            &format!("deadline-{deadline} pagerank @ drain_fast_forward=true"),
-        );
     }
 }
 
